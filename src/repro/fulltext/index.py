@@ -30,6 +30,7 @@ the query. Phrases verify adjacent positions inside one field.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from time import perf_counter
@@ -544,35 +545,42 @@ class FullTextIndex:
         limit: int | None = None,
         as_user: str | None = None,
     ) -> list[SearchHit]:
-        """Run ``query``; returns hits ranked by tf–idf, best first."""
+        """Run ``query``; returns hits ranked by tf–idf, best first.
+
+        Each query word is stemmed once, and each positive word's postings
+        and idf are looked up once per search, so ranking costs
+        O(matches × positive words). With ``limit`` only the best
+        ``limit`` hits are selected (a heap, not a full sort); reader
+        fields filter before that cut. Ties rank by unid.
+        """
+        if limit is not None and limit < 0:
+            raise FullTextError(f"limit must be >= 0, got {limit}")
         tree = parse_query(query)
-        matched = self._eval(tree)
-        scored = [
-            SearchHit(unid, self._score(unid, tree))
-            for unid in matched
-            if unid in self.db
-        ]
+        words = _leaf_words(tree, {})
+        matched = [unid for unid in self._eval(tree, words) if unid in self.db]
         if as_user is not None:
-            scored = [
-                hit
-                for hit in scored
-                if self.db._can_read(as_user, self.db.get(hit.unid))
+            matched = [
+                unid
+                for unid in matched
+                if self.db._can_read(as_user, self.db.get(unid))
             ]
-        scored.sort(key=lambda hit: (-hit.score, hit.unid))
-        return scored[:limit] if limit is not None else scored
+        score = self._scorer(tree, words)
+        ranked = [(-score(unid), unid) for unid in matched]
+        best = sorted(ranked) if limit is None else heapq.nsmallest(limit, ranked)
+        return [SearchHit(unid, -negated) for negated, unid in best]
 
     # -- boolean evaluation --------------------------------------------------
 
     def _universe(self) -> set[str]:
         return self._all_doc_unids()
 
-    def _eval(self, node) -> set[str]:
+    def _eval(self, node, words: dict) -> set[str]:
         if isinstance(node, Term):
-            return self._term_docs(node)
+            return self._term_docs(words[node][0], node.field)
         if isinstance(node, Phrase):
-            return self._phrase_docs(node)
+            return self._phrase_docs(words[node], node.field)
         if isinstance(node, And):
-            parts = [self._eval(part) for part in node.parts]
+            parts = [self._eval(part, words) for part in node.parts]
             result = parts[0]
             for part in parts[1:]:
                 result &= part
@@ -580,32 +588,31 @@ class FullTextIndex:
         if isinstance(node, Or):
             result: set[str] = set()
             for part in node.parts:
-                result |= self._eval(part)
+                result |= self._eval(part, words)
             return result
         if isinstance(node, Not):
-            return self._universe() - self._eval(node.part)
+            return self._universe() - self._eval(node.part, words)
         raise FullTextError(f"cannot evaluate query node {node!r}")
 
-    def _term_docs(self, term: Term) -> set[str]:
-        postings = self._merged(stem(term.text.lower()))
-        if term.field is None:
+    def _term_docs(self, word: str, field: str | None) -> set[str]:
+        postings = self._merged(word)
+        if field is None:
             return set(postings)
-        field = term.field.lower()
+        field = field.lower()
         return {unid for unid, fields in postings.items() if field in fields}
 
-    def _phrase_docs(self, phrase: Phrase) -> set[str]:
-        words = tokenize(phrase.text)
+    def _phrase_docs(self, words: list[str], field: str | None) -> set[str]:
         if not words:
             return set()
         if len(words) == 1:
-            return self._term_docs(Term(words[0], field=phrase.field))
+            return self._term_docs(words[0], field)
         candidates = None
         for word in words:
             docs = set(self._merged(word))
             candidates = docs if candidates is None else candidates & docs
         result = set()
         for unid in candidates or ():
-            if self._phrase_in_doc(words, unid, phrase.field):
+            if self._phrase_in_doc(words, unid, field):
                 result.add(unid)
         return result
 
@@ -633,33 +640,64 @@ class FullTextIndex:
 
     # -- scoring ------------------------------------------------------------
 
-    def _positive_terms(self, node) -> list[Term | Phrase]:
-        if isinstance(node, (Term, Phrase)):
-            return [node]
-        if isinstance(node, (And, Or)):
-            out = []
-            for part in node.parts:
-                out.extend(self._positive_terms(part))
-            return out
-        return []  # NOT subtrees do not contribute to relevance
+    def _scorer(self, tree, words: dict):
+        """The per-query tf–idf scorer.
 
-    def _score(self, unid: str, tree) -> float:
-        total = 0.0
+        Looks up each positive word's postings and idf once; the returned
+        function then sums ``tf * idf`` over those words for one document,
+        in query order — the same terms in the same order for every
+        document, so scores do not depend on how many documents match.
+        NOT subtrees do not contribute to relevance.
+        """
         n_docs = max(self._doc_count, 1)
-        for node in self._positive_terms(tree):
-            words = (
-                tokenize(node.text)
-                if isinstance(node, Phrase)
-                else [stem(node.text.lower())]
-            )
-            for word in words:
+        plan = []
+        for node in _positive_leaves(tree):
+            for word in words[node]:
                 postings = self._merged(word)
-                if not postings or unid not in postings:
-                    continue
-                tf = sum(
-                    len(positions) * self.field_weights.get(field, 1.0)
-                    for field, positions in postings[unid].items()
-                )
-                idf = math.log(n_docs / len(postings)) + 1.0
-                total += tf * idf
-        return total
+                if postings:
+                    plan.append((postings, math.log(n_docs / len(postings)) + 1.0))
+        weight = self.field_weights.get
+
+        def score(unid: str) -> float:
+            total = 0.0
+            for postings, idf in plan:
+                fields = postings.get(unid)
+                if fields is not None:
+                    tf = sum([
+                        len(positions) * weight(field, 1.0)
+                        for field, positions in fields.items()
+                    ])
+                    total += tf * idf
+            return total
+
+        return score
+
+
+def _leaf_words(node, words: dict) -> dict:
+    """Map each Term/Phrase leaf of a query to its index words, stemming
+    each query word once: a term is lowercased and stemmed, a phrase
+    tokenized as documents are."""
+    if isinstance(node, Term):
+        if node not in words:
+            words[node] = [stem(node.text.lower())]
+    elif isinstance(node, Phrase):
+        if node not in words:
+            words[node] = tokenize(node.text)
+    elif isinstance(node, (And, Or)):
+        for part in node.parts:
+            _leaf_words(part, words)
+    elif isinstance(node, Not):
+        _leaf_words(node.part, words)
+    return words
+
+
+def _positive_leaves(node) -> list:
+    """Term/Phrase leaves outside NOT subtrees, in query order."""
+    if isinstance(node, (Term, Phrase)):
+        return [node]
+    if isinstance(node, (And, Or)):
+        out = []
+        for part in node.parts:
+            out.extend(_positive_leaves(part))
+        return out
+    return []

@@ -15,11 +15,20 @@ modes exist so experiment E5 can compare them:
     With ``journal=False`` (the ablation E5/E14 measure against) every
     refresh is the O(n log n) "view rebuild" the paper calls out as the
     thing incremental indexing avoids.
+
+Alongside the tree the view keeps a *category directory*: per key prefix
+of the categorized columns, the entry count, the rows under the heading
+and the totals-column subtotals. It is what lets :meth:`View.window` serve
+a ``?OpenView&Start=n&Count=30`` page by reading ~30 entries instead of
+rendering every row.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from time import perf_counter
 from typing import Any, Iterator
 
@@ -57,6 +66,64 @@ class _Entry:
     unid: str
     values: tuple
     level: int
+
+
+class _Subtotal:
+    """Exact running sum of one totals column over one category.
+
+    Integers add exactly and finite floats accumulate as Fractions, so a
+    removal leaves no rounding residue and the sum reads the same however
+    the category was built up: an int while no float cell is in it, else
+    the correctly rounded float. Non-finite cells are kept aside and
+    added on read. Booleans and non-numbers do not count.
+    """
+
+    __slots__ = ("exact", "floats", "special")
+
+    def __init__(self) -> None:
+        self.exact: int | Fraction = 0
+        self.floats = 0
+        self.special: dict[str, int] = {}  # "inf"/"-inf"/"nan" -> count
+
+    def add(self, cell: Any, sign: int) -> None:
+        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+            return
+        if isinstance(cell, float):
+            self.floats += sign
+            if not math.isfinite(cell):
+                left = self.special.get(repr(cell), 0) + sign
+                if left:
+                    self.special[repr(cell)] = left
+                else:
+                    del self.special[repr(cell)]
+                return
+            cell = Fraction(cell)
+        self.exact += cell if sign > 0 else -cell
+
+    def value(self) -> int | float:
+        if not self.floats:
+            return int(self.exact)
+        total = float(self.exact)
+        for special in self.special:
+            total += float(special)
+        return total
+
+
+class _Group:
+    """One node of the category directory.
+
+    The root group (key prefix ``()``) holds every entry; below it there is
+    one group per distinct key prefix of the categorized columns, with its
+    children (the groups one categorized column deeper) in collation order.
+    """
+
+    __slots__ = ("entries", "rows", "children", "totals")
+
+    def __init__(self, totals_columns: list[int]) -> None:
+        self.entries = 0  # documents in the group, responses included
+        self.rows = 0  # rows rendered under the group's heading
+        self.children: list[tuple] = []
+        self.totals = {column: _Subtotal() for column in totals_columns}
 
 
 class View:
@@ -123,6 +190,15 @@ class View:
         self.selection_source = selection
         self.columns = columns or [ViewColumn(title="Subject", item="Subject")]
         self._validate_columns()
+        self._category_columns = [
+            index for index, column in enumerate(self.columns) if column.categorized
+        ]
+        self._totals_columns = [
+            index for index, column in enumerate(self.columns) if column.totals
+        ]
+        # The category directory, keyed by key prefix: what window() needs
+        # to find a row without walking the index. _count keeps it current.
+        self._groups: dict[tuple, _Group] = {(): _Group(self._totals_columns)}
         self.mode = mode
         self.hierarchical = hierarchical
         self.persist = persist
@@ -361,8 +437,7 @@ class View:
             if parent is not None:
                 self._children.setdefault(parent, set()).add(unid)
                 self._parent_of[unid] = parent
-        pairs.sort(key=lambda pair: pair[0])  # segments are unordered
-        self._tree.bulk_load(pairs)
+        self._load(pairs)
         if current:
             self._mark_indexed()
             self.catch_up.record_noop()
@@ -469,13 +544,21 @@ class View:
                 self._children.setdefault(doc.parent_unid, set()).add(doc.unid)
                 self._parent_of[doc.unid] = doc.parent_unid
             pairs.append((key, _Entry(doc.unid, values, level)))
-        pairs.sort(key=lambda pair: pair[0])
-        self._tree.bulk_load(pairs)
+        self._load(pairs)
         self.rebuilds += 1
         self.pending_changes = 0
         self._mark_indexed()
         self.catch_up.record_rebuild(perf_counter() - started)
         return len(self._tree)
+
+    def _load(self, pairs: list[tuple[tuple, _Entry]]) -> None:
+        """Bulk-load (key, entry) pairs into the empty tree and count them
+        into a fresh category directory."""
+        pairs.sort(key=lambda pair: pair[0])  # segments are unordered
+        self._tree.bulk_load(pairs)
+        self._groups = {(): _Group(self._totals_columns)}
+        for key, entry in pairs:
+            self._count(key, entry.values, 1)
 
     def _hierarchy_depth(self, doc: Document) -> int:
         depth = 0
@@ -598,6 +681,7 @@ class View:
         key, level = self._key_for(doc)
         values = tuple(column.value_for(doc, self.db) for column in self.columns)
         self._tree.insert(key, _Entry(doc.unid, values, level))
+        self._count(key, values, 1)
         self._keys[doc.unid] = key
         self._dirty.add(doc.unid)
         if doc.parent_unid is not None:
@@ -610,9 +694,11 @@ class View:
             return
         self._dirty.add(unid)
         try:
-            self._tree.delete(key)
+            entry = self._tree.delete(key)
         except KeyError:  # pragma: no cover - defensive
             pass
+        else:
+            self._count(key, entry.values, -1)
         parent = self._parent_of.pop(unid, None)
         if parent is not None:
             siblings = self._children.get(parent)
@@ -620,6 +706,42 @@ class View:
                 siblings.discard(unid)
                 if not siblings:
                     del self._children[parent]
+
+    def _count(self, key: tuple, values: tuple, sign: int) -> None:
+        """Add (``sign=1``) or take away (``-1``) one entry in the
+        category directory.
+
+        The entry belongs to the root group and to one group per
+        categorized column, keyed by that many components of its key
+        (responses carry their root's prefix, so they count where they
+        render). A group that gains its first entry is filed in its
+        parent's sorted children and one that loses its last is unfiled;
+        ``rows`` moves by one for the entry plus one per heading opened or
+        closed beneath the group. O(categorized columns), plus a bisect
+        when a category appears or vanishes.
+        """
+        groups = self._groups
+        depth = len(self._category_columns)
+        path = [groups[()]]
+        for length in range(1, depth + 1):
+            group = groups.get(key[:length])
+            if group is None:
+                group = groups[key[:length]] = _Group(self._totals_columns)
+                insort(path[-1].children, key[:length])
+            path.append(group)
+        headings = 0  # headings opened or closed under the current group
+        for length in range(depth, -1, -1):
+            group = path[length]
+            group.entries += sign
+            group.rows += sign * (1 + headings)
+            for column, subtotal in group.totals.items():
+                subtotal.add(values[column], sign)
+            if length and group.entries == (1 if sign > 0 else 0):
+                headings += 1
+                if not group.entries:
+                    del groups[key[:length]]
+                    siblings = path[length - 1].children
+                    del siblings[bisect_left(siblings, key[:length])]
 
     def _rekey_descendants(self, unid: str) -> None:
         """Re-insert (or re-evaluate) responses after their ancestor moved."""
@@ -666,14 +788,14 @@ class View:
                 yield doc
 
     def rows(self, as_user: str | None = None) -> list:
-        """Render the view: category rows interleaved with document rows."""
-        category_indices = [
-            index for index, column in enumerate(self.columns) if column.categorized
-        ]
+        """Render the view: category rows interleaved with document rows.
+
+        Walks every entry (and, for ``as_user``, reads every document to
+        check its reader fields): O(n). Use :meth:`window` to read a page.
+        """
+        category_indices = self._category_columns
         n_categories = len(category_indices)
-        totals_columns = [
-            index for index, column in enumerate(self.columns) if column.totals
-        ]
+        totals_columns = self._totals_columns
         output: list = []
         open_values: list = [object()] * n_categories  # sentinels != anything
         # First pass gathers rows; category counts/subtotals need a second
@@ -733,30 +855,104 @@ class View:
                 ]
             subtotals = {}
             for column_index in totals_columns:
-                subtotal = 0
+                subtotal = _Subtotal()
                 for row in members:
-                    cell = row.values[column_index]
-                    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                        subtotal += cell
-                subtotals[column_index] = subtotal
+                    subtotal.add(row.values[column_index], 1)
+                subtotals[column_index] = subtotal.value()
             output[index] = CategoryRow(
                 value=value, level=level, count=len(members), subtotals=subtotals
             )
         return output
 
+    def window(
+        self, start: int, count: int, as_user: str | None = None
+    ) -> tuple[list, int]:
+        """Rows ``start`` to ``start + count - 1`` (1-based) and the row total.
+
+        Returns exactly ``rows(as_user)[start - 1 : start - 1 + count]``
+        (a ``start`` below 1 reads from the top) and ``len(rows(as_user))``.
+        Without ``as_user`` only the window is read: the category
+        directory finds the category holding ``start`` in O(categories),
+        then one B+tree range read from that category's first key skips to
+        the row and stops after ``count`` rows — O(log n + offset within
+        the category + count). Reader fields make row positions depend on
+        the user, so with ``as_user`` the window is a slice of the full
+        per-user :meth:`rows`, as in Domino.
+        """
+        if count < 0:
+            raise ViewError(f"window count must be >= 0, got {count}")
+        offset = max(start - 1, 0)
+        if as_user is not None:
+            rows = self.rows(as_user)
+            return rows[offset : offset + count], len(rows)
+        total = self._groups[()].rows
+        if offset >= total or count == 0:
+            return [], total
+        return self._read_window(offset, count), total
+
+    def _read_window(self, skip: int, count: int) -> list:
+        """``count`` rows from row ``skip`` (0-based, inside the view)."""
+        groups = self._groups
+        depth = len(self._category_columns)
+        # Descend the directory: at each categorized column, step over
+        # whole sibling categories (heading + rows) until the one holding
+        # the target row. Headings already passed stay "open" so the
+        # stream below does not repeat them.
+        opened: list = [None] * depth
+        prefix: tuple = ()
+        for level in range(depth):
+            for child in groups[prefix].children:
+                span = 1 + groups[child].rows
+                if skip < span:
+                    break
+                skip -= span
+            prefix = child
+            if skip == 0:
+                break  # the window opens on this category's heading
+            opened[level] = prefix
+            skip -= 1
+        # ``skip`` now counts the entries of ``prefix`` before the window.
+        out: list = []
+        for key, entry in self._tree.range(lo=prefix or None):
+            if skip:
+                skip -= 1
+                continue
+            if entry.level == 0:
+                for level in range(depth):
+                    heading = key[: level + 1]
+                    if heading != opened[level]:
+                        opened[level] = heading
+                        out.append(self._heading(heading, level, entry))
+                        if len(out) == count:
+                            return out
+            out.append(DocumentRow(entry.unid, entry.values, entry.level + depth))
+            if len(out) == count:
+                break
+        return out
+
+    def _heading(self, prefix: tuple, level: int, first: _Entry) -> CategoryRow:
+        """The heading row of category ``prefix``, whose first entry is
+        ``first`` (its value is the heading's, as in :meth:`rows`)."""
+        value = first.values[self._category_columns[level]]
+        if isinstance(value, list):
+            value = value[0] if value else ""
+        group = self._groups[prefix]
+        return CategoryRow(
+            value=value,
+            level=level,
+            count=group.entries,
+            subtotals={
+                column: subtotal.value()
+                for column, subtotal in group.totals.items()
+            },
+        )
+
     def totals(self) -> dict[int, float]:
         """Grand totals for every totals column, keyed by column index."""
-        sums: dict[int, float] = {
-            index: 0
-            for index, column in enumerate(self.columns)
-            if column.totals
+        return {
+            column: subtotal.value()
+            for column, subtotal in self._groups[()].totals.items()
         }
-        for entry in self.entries():
-            for index in sums:
-                cell = entry.values[index]
-                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                    sums[index] += cell
-        return sums
 
     def documents_by_key(self, value: Any) -> list[Document]:
         """Index lookup: documents whose first sort column equals ``value``.

@@ -30,8 +30,7 @@ def render_view(
     as_user: str | None = None,
 ) -> str:
     """Render a window of ``view`` as an HTML table with document links."""
-    rows = view.rows(as_user=as_user)
-    window = rows[max(start - 1, 0) : max(start - 1, 0) + count]
+    window, total = view.window(start, count, as_user=as_user)
     parts = [
         f"<h1>{escape(view.name)}</h1>",
         f'<table class="view" data-total="{len(view)}">',
@@ -57,7 +56,7 @@ def render_view(
             parts.append(f'<tr class="doc"><td><a href="{href}">&#9656;</a></td>{cells}</tr>')
     parts.append("</table>")
     next_start = start + count
-    if next_start <= len(rows):
+    if next_start <= total:
         parts.append(
             f'<a class="next" href="/{db_path}/{view.name}'
             f"?OpenView&Start={next_start}&Count={count}\">Next</a>"
@@ -120,8 +119,7 @@ def render_view_entries_xml(
     access (the precursor of its REST APIs). Category rows carry their
     value and count; document rows carry unid, position and column values.
     """
-    rows = view.rows(as_user=as_user)
-    window = rows[max(start - 1, 0) : max(start - 1, 0) + count]
+    window, _ = view.window(start, count, as_user=as_user)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<viewentries toplevelentries="{len(view)}" start="{start}">',

@@ -3,16 +3,20 @@
 ``handle(url, user)`` does what the Domino HTTP task did: parse the URL
 command, resolve the database and design element, enforce the ACL (including
 document reader fields), and return rendered HTML with an HTTP-ish status
-code. ``EditDocument``/``DeleteDocument`` mutate through the normal database
+code: 400 for a malformed URL or unusable ``Start``/``Count``/``Query``
+parameters, 401/404 for access and lookup failures. Views are served by the
+window (:meth:`repro.views.View.window`) and searches by the top ``Count``
+hits. ``EditDocument``/``DeleteDocument`` mutate through the normal database
 API, so agents and views react exactly as for a Notes client.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 
 from repro.design.application import Application
-from repro.errors import AccessDenied, DocumentNotFound
+from repro.errors import AccessDenied, DocumentNotFound, FullTextError
 from repro.fulltext.index import FullTextIndex
 from repro.security.acl import AclLevel
 from repro.web.render import (
@@ -22,7 +26,7 @@ from repro.web.render import (
     render_view,
     render_view_entries_xml,
 )
-from repro.web.urls import WebError, parse_url
+from repro.web.urls import BadRequest, WebError, parse_url
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,9 @@ class DominoWebServer:
         try:
             parsed = parse_url(url)
         except WebError as exc:
-            return WebResponse(400, f"<h1>400 Bad Request</h1><p>{exc}</p>")
+            return WebResponse(
+                400, f"<h1>400 Bad Request</h1><p>{escape(str(exc))}</p>"
+            )
         app = self._apps.get(parsed.database.lower())
         if app is None:
             return WebResponse(404, f"<h1>404</h1><p>no database {parsed.database}</p>")
@@ -75,6 +81,10 @@ class DominoWebServer:
             return WebResponse(401, f"<h1>401</h1><p>{exc}</p>")
         except DocumentNotFound as exc:
             return WebResponse(404, f"<h1>404</h1><p>{exc}</p>")
+        except (BadRequest, FullTextError) as exc:
+            return WebResponse(
+                400, f"<h1>400 Bad Request</h1><p>{escape(str(exc))}</p>"
+            )
         except WebError as exc:
             return WebResponse(404, f"<h1>404</h1><p>{exc}</p>")
 
@@ -86,16 +96,16 @@ class DominoWebServer:
             return WebResponse(200, render_database(db, path, app.view_names))
         if command == "openview":
             view = self._resolve_view(app, parsed.view)
-            start = int(parsed.param("start", "1"))
-            count = int(parsed.param("count", "30"))
+            start = _int_param(parsed, "Start", 1)
+            count = _int_param(parsed, "Count", 30, minimum=0)
             return WebResponse(
                 200, render_view(view, path, start=start, count=count,
                                  as_user=user if db.acl else None)
             )
         if command == "readviewentries":
             view = self._resolve_view(app, parsed.view)
-            start = int(parsed.param("start", "1"))
-            count = int(parsed.param("count", "30"))
+            start = _int_param(parsed, "Start", 1)
+            count = _int_param(parsed, "Count", 30, minimum=0)
             return WebResponse(
                 200,
                 render_view_entries_xml(
@@ -107,7 +117,7 @@ class DominoWebServer:
             query = (parsed.param("query") or "").strip()
             if not query:
                 raise WebError("SearchView needs a Query parameter")
-            count = int(parsed.param("count", "25"))
+            count = _int_param(parsed, "Count", 25, minimum=0)
             index = self._indexes[path.lower()]
             hits = index.search(query, limit=count,
                                 as_user=user if db.acl else None)
@@ -144,3 +154,19 @@ class DominoWebServer:
             return app.view(name)
         except Exception:
             raise WebError(f"no view {name!r}") from None
+
+
+def _int_param(
+    parsed, name: str, default: int, minimum: int | None = None
+) -> int:
+    """An integer URL parameter; :class:`BadRequest` when it is not one."""
+    raw = parsed.param(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise BadRequest(f"{name} must be an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise BadRequest(f"{name} must be at least {minimum}, got {value}")
+    return value

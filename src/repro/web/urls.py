@@ -24,6 +24,10 @@ class WebError(ReproError):
     """Bad URL or unknown target."""
 
 
+class BadRequest(WebError):
+    """A well-formed URL whose parameters are unusable (HTTP 400)."""
+
+
 _KNOWN_COMMANDS = {
     "opendatabase",
     "openview",

@@ -1,6 +1,10 @@
 """Tests for the Domino web engine: URLs, rendering, request handling."""
 
+from urllib.parse import quote
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.design import Application
 from repro.security import AccessControlList, AclLevel
@@ -166,6 +170,30 @@ class TestRequests:
         _, server, _ = site
         assert server.handle("/sales.nsf?BrewCoffee").status == 400
 
+    @pytest.mark.parametrize("url", [
+        "/sales.nsf/ByCustomer?OpenView&Start=abc",
+        "/sales.nsf/ByCustomer?OpenView&Count=3.5",
+        "/sales.nsf/ByCustomer?OpenView&Count=-1",
+        "/sales.nsf/ByCustomer?ReadViewEntries&Count=x",
+        "/sales.nsf/ByCustomer?ReadViewEntries&Start=",
+        "/sales.nsf/ByCustomer?SearchView&Query=(((",
+        "/sales.nsf/ByCustomer?SearchView&Query=%22open",
+        "/sales.nsf/ByCustomer?SearchView&Query=widget&Count=many",
+    ])
+    def test_bad_parameters_400(self, site, url):
+        _, server, _ = site
+        response = server.handle(url)
+        assert response.status == 400
+        assert "400 Bad Request" in response.body
+
+    def test_bad_request_body_is_escaped(self, site):
+        _, server, _ = site
+        response = server.handle(
+            "/sales.nsf/ByCustomer?OpenView&Start=%3Cb%3E"
+        )
+        assert response.status == 400
+        assert "<b>" not in response.body
+
     def test_html_is_escaped(self, site):
         db, server, _ = site
         doc = db.create({"Form": "Order", "Customer": "cust0",
@@ -273,3 +301,32 @@ class TestWebSecurity:
         )
         assert response.status == 401
         assert db.get(docs[0].unid).get("Status") is None
+
+
+class TestFuzz:
+    """Whatever the URL, ``handle`` answers with a status, never raises."""
+
+    COMMANDS = st.sampled_from([
+        "OpenView", "ReadViewEntries", "SearchView", "OpenDocument",
+        "EditDocument", "DeleteDocument", "OpenDatabase", "", "Bogus",
+    ])
+    PARAMS = st.lists(
+        st.tuples(st.sampled_from(["Start", "Count", "Query", "Subject"]),
+                  st.text(max_size=6)),
+        max_size=3,
+    )
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=COMMANDS, view=st.sampled_from(["ByCustomer", "Nope", ""]),
+           document=st.booleans(), params=PARAMS, junk=st.text(max_size=10))
+    def test_any_request_gets_a_status(self, site, command, view, document,
+                                       params, junk):
+        _, server, docs = site
+        path = "/sales.nsf" + (f"/{view}" if view else "")
+        if document and view:
+            path += f"/{docs[0].unid}"
+        query = "&".join([command] + [f"{key}={quote(value)}"
+                                      for key, value in params])
+        for url in (f"{path}?{query}", path + junk, junk):
+            assert server.handle(url).status in (200, 400, 401, 404)
