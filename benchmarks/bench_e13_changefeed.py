@@ -21,14 +21,15 @@ N_CHANGES = 100
 
 def run_cell(n_docs: int) -> tuple[int, float, int, float]:
     """(journal candidates, journal s, scan candidates, scan s) for one
-    ``changed_since`` call on a database with ``N_CHANGES`` fresh edits."""
-    db, mark_seq, mark_time = build_changefeed_db(n_docs, N_CHANGES)
+    "changed since seq N" read on a database with ``N_CHANGES`` fresh
+    edits."""
+    db, mark_seq = build_changefeed_db(n_docs, N_CHANGES)
     start = time.perf_counter()
     db.changed_since_seq(mark_seq)
     journal_seconds = time.perf_counter() - start
     journal_cost = db.last_scan_cost
     start = time.perf_counter()
-    db.changed_since_scan(mark_time)
+    db.changed_since_scan(mark_seq)
     scan_seconds = time.perf_counter() - start
     scan_cost = db.last_scan_cost
     return journal_cost, journal_seconds, scan_cost, scan_seconds
@@ -50,7 +51,7 @@ def test_e13_table(benchmark):
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_table(
-        f"E13  changed_since cost vs database size ({N_CHANGES} changed docs)",
+        f"E13  changed-since cost vs database size ({N_CHANGES} changed docs)",
         ["docs", "journal cand", "journal us", "scan cand", "scan us",
          "scan/journal"],
         rows,

@@ -11,6 +11,9 @@ sweeps. Run with::
 
 from __future__ import annotations
 
+import os
+import random
+
 from repro.bench.runners import (
     build_catchup_corpus,
     build_changefeed_db,
@@ -19,8 +22,11 @@ from repro.bench.runners import (
     populate,
 )
 from repro.cluster import ClusterReplicator
+from repro.core import DeletionStub, Document, NotesDatabase
 from repro.fulltext import FullTextIndex
 from repro.replication import Replicator, converged
+from repro.sim import VirtualClock
+from repro.storage import StorageEngine
 
 
 def test_smoke_incremental_beats_full_copy():
@@ -42,12 +48,64 @@ def test_smoke_incremental_beats_full_copy():
 
 
 def test_smoke_changefeed_examines_delta():
-    db, mark_seq, mark_time = build_changefeed_db(5_000, 50)
+    db, mark_seq = build_changefeed_db(5_000, 50)
     docs, stubs = db.changed_since_seq(mark_seq)
     assert len(docs) == 50 and not stubs
     assert db.last_scan_cost <= 50
-    db.changed_since_scan(mark_time)
+    db.changed_since_scan(mark_seq)
     assert db.last_scan_cost >= 5_000
+
+
+def test_smoke_note_write_costs(tmp_path):
+    """Storage cost counters: every note write path commits exactly one
+    engine transaction and leaves one engine record per live doc or stub
+    (plus the journal meta record), and an update of an N-byte note
+    appends its redo image once — under N + 256 WAL bytes."""
+    path = str(tmp_path / "costs")
+    engine = StorageEngine(path)
+    db = NotesDatabase("costs.nsf", clock=VirtualClock(),
+                       rng=random.Random(4), engine=engine)
+    commits = []
+    commit = engine.commit
+
+    def counted_commit(txn):
+        commits.append(txn)
+        commit(txn)
+
+    engine.commit = counted_commit
+
+    def write(apply):
+        before = len(commits)
+        db.clock.advance(1)
+        result = apply()
+        assert len(commits) == before + 1
+        assert len(engine) == len(db) + len(db.stubs) + 1
+        return result
+
+    docs = [write(lambda: db.create({"Body": "x" * 4000})) for _ in range(6)]
+    write(lambda: db.attach_file(docs[0].unid, "a.txt", b"attached"))
+    gone = docs[1].copy()
+    write(lambda: db.delete(gone.unid))
+    gone.seq, gone.seq_time = gone.seq + 5, (db.clock.now + 1, 1)
+    write(lambda: db.raw_put(gone))  # replaces the stub
+    write(lambda: db.raw_put(Document("F" * 32, seq=2, seq_time=(1.0, 1),
+                                      created=1.0, modified=1.0)))
+    now = db.clock.now
+    write(lambda: db.raw_delete(
+        DeletionStub(docs[2].unid, 9, (now, 1), now, "remote")))
+    write(lambda: db.delete(docs[3].unid))
+    db.replication_seq[("partner", "send")] = db.update_seq
+    write(db.purge_acknowledged_stubs)
+    write(lambda: db.delete(docs[4].unid))
+    write(lambda: db.purge_stubs(older_than=db.clock.now + 1))
+    write(lambda: db.cutoff_delete(older_than=1.5))
+
+    wal_before = os.path.getsize(path + ".wal")
+    write(lambda: db.update(docs[5].unid, {"Status": "edited"}))
+    record_bytes = len(engine.get(b"doc:" + docs[5].unid.encode()))
+    assert record_bytes > 4000
+    assert os.path.getsize(path + ".wal") - wal_before < record_bytes + 256
+    engine.close()
 
 
 def test_smoke_replication_pass_scans_delta_only():

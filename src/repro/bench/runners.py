@@ -86,14 +86,14 @@ def build_changefeed_db(
     n_changes: int,
     seed: int = 7,
     body_bytes: int = 64,
-) -> tuple[NotesDatabase, int, float]:
+) -> tuple[NotesDatabase, int]:
     """A database with ``n_docs`` documents of which ``n_changes`` were
-    modified after the returned cutoff marks.
+    modified after the returned seq mark.
 
-    Returns ``(db, mark_seq, mark_time)`` — the seq and timestamp cutoffs
-    a change-feed consumer would hold from its previous pass, so callers
-    can compare ``changed_since_seq(mark_seq)`` against the full-scan
-    ablation ``changed_since_scan(mark_time)`` on identical state.
+    Returns ``(db, mark_seq)`` — the cursor a change-feed consumer would
+    hold from its previous pass, so callers can compare
+    ``changed_since_seq(mark_seq)`` against the full-scan ablation
+    ``changed_since_scan(mark_seq)`` on identical state.
     """
     clock = VirtualClock()
     rng = random.Random(seed)
@@ -104,12 +104,11 @@ def build_changefeed_db(
     populate(db, n_docs, rng, body_bytes=body_bytes, advance=0.001)
     clock.advance(1)
     mark_seq = db.update_seq
-    mark_time = clock.now
     clock.advance(1)
     for unid in rng.sample(db.unids(), n_changes):
         db.update(unid, {"Status": f"edited {rng.random():.4f}"})
     clock.advance(1)
-    return db, mark_seq, mark_time
+    return db, mark_seq
 
 
 def catchup_view(db, journal: bool = True, mode: str = "auto",

@@ -14,13 +14,18 @@ Responsibilities:
   to create/update/delete notifications for incremental maintenance.
 * The **update-sequence journal**: every write is assigned the next local
   sequence number and recorded in a by-seq journal (one live entry per
-  UNID, the CouchDB ``_changes`` design). Replication reads the journal
-  suffix instead of scanning the database, so a pass costs O(changes)
-  rather than O(database).
+  UNID, the CouchDB ``_changes`` design). It is the database's only change
+  clock: replication, views, full-text and agents read the journal suffix
+  above a checkpointed seq instead of scanning the database, so a pass
+  costs O(changes) rather than O(database).
 * Maintained secondary indexes: parent→children (``responses``),
   profile-document lookup (``profile``), and an incrementally maintained
   state fingerprint.
-* Optional durability through :class:`repro.storage.StorageEngine`.
+* Optional durability through :class:`repro.storage.StorageEngine`. Each
+  note is one engine record (``doc:<unid>`` or ``stub:<unid>``) carrying
+  its journal seq, and every write commits exactly one engine transaction,
+  so a note and its seq never durably separate and a delete cannot lose
+  both the document and its stub.
 * Optional access control through an attached ACL (``repro.security``).
 
 The database never interprets item values — that is what views, formulas
@@ -32,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -88,14 +93,13 @@ Observer = Callable[[ChangeKind, Any, Document | None], None]
 
 _DOC_PREFIX = b"doc:"
 _STUB_PREFIX = b"stub:"
-_SEQ_PREFIX = b"seq:"
 _META_KEY = b"meta:journal"
+# The field of a persisted doc/stub record that holds its journal seq.
+_SEQ_FIELD = "journal_seq"
 
-# Journal entries are (seq, unid, is_stub, local_time) tuples, appended in
-# seq order. Local times are taken from the (monotonic) clock at write
-# time, so the list is sorted by seq AND by time — both cutoff styles are
-# a binary search for the suffix start.
-_JournalEntry = tuple[int, str, bool, float]
+# Journal entries are (seq, unid, is_stub) tuples, appended in seq order,
+# so a seq cutoff is a binary search for the suffix start.
+_JournalEntry = tuple[int, str, bool]
 
 # Compact the journal when more than half of it (and at least this many
 # entries) is superseded; rewrites are amortized O(1) per write.
@@ -164,12 +168,6 @@ class NotesDatabase:
         self.acl = acl
         self._docs: dict[str, Document] = {}
         self._stubs: dict[str, DeletionStub] = {}
-        # "Modified in this file" times: when a note/stub last changed in
-        # THIS replica (user edit or replicator install). The incremental
-        # replication scan uses these, not the document's own modified time
-        # — a note can arrive here long after it was edited elsewhere.
-        self._local_modified: dict[str, float] = {}
-        self._stub_local: dict[str, float] = {}
         self._trash: set[str] = set()
         self._by_note_id: dict[int, str] = {}
         self._next_note_id = 1
@@ -190,9 +188,7 @@ class NotesDatabase:
         self._profiles: dict[tuple[Any, Any], str] = {}
         # Rolling state fingerprint: XOR of per-note digests, O(1) per write.
         self._fp_acc = 0
-        # replication history: (other replica server, direction) -> virtual time
-        self.replication_history: dict[tuple[str, str], float] = {}
-        # journal-based history: (other replica server, direction) -> the
+        # replication history: (other replica server, direction) -> the
         # partner's update_seq as of the last successful pass
         self.replication_seq: dict[tuple[str, str], int] = {}
         # -- purge log: journal entries dropped with no successor --
@@ -200,15 +196,14 @@ class NotesDatabase:
         self._purges: list[tuple[int, str]] = []
         # Journal identity: seq checkpoints (view sidecars, full-text
         # checkpoints, backlog cursors) are only meaningful against the
-        # journal they were cut from. A reseeded journal (recovery of a
-        # pre-journal database file) gets a fresh identity, so stale
-        # checkpoints fall back to a rebuild instead of mis-reading seqs.
+        # journal they were cut from. A checkpoint carrying another
+        # identity falls back to a rebuild instead of mis-reading seqs.
         self.journal_id = hashlib.sha256(
             f"journal:{self.replica_id}:{self.server}".encode()
         ).hexdigest()[:16]
         if engine is not None:
             self._load_from_engine()
-            self._persist_meta()
+            self.engine.set(_META_KEY, self._meta_payload())
 
     # -- observers -----------------------------------------------------------
 
@@ -261,26 +256,27 @@ class NotesDatabase:
         """The highest local update sequence number assigned so far."""
         return self._update_seq
 
-    def _journal_record(self, unid: str, is_stub: bool, when: float) -> _JournalEntry:
-        """Assign the next seq to ``unid`` and append its journal entry."""
+    def _journal_record(self, unid: str, is_stub: bool) -> int:
+        """Assign the next seq to ``unid``, append its journal entry and
+        return the seq."""
         if unid in self._note_seq:
             self._journal_stale += 1
         self._update_seq += 1
-        entry = (self._update_seq, unid, is_stub, when)
-        self._journal.append(entry)
+        self._journal.append((self._update_seq, unid, is_stub))
         self._note_seq[unid] = self._update_seq
         if (
             self._journal_stale > _JOURNAL_COMPACT_MIN
             and self._journal_stale * 2 > len(self._journal)
         ):
             self._compact_journal()
-        return entry
+        return self._update_seq
 
     def _journal_drop(self, unid: str) -> None:
-        """Forget ``unid``'s journal entry (purge / cutoff-delete paths)."""
+        """Forget ``unid``'s journal entry (purge / cutoff-delete paths)
+        and log the purge; the caller persists both."""
         if self._note_seq.pop(unid, None) is not None:
             self._journal_stale += 1
-        self._unpersist(_SEQ_PREFIX + unid.encode())
+        self._log_purge(unid)
 
     def _compact_journal(self) -> None:
         self._journal = [
@@ -289,25 +285,6 @@ class NotesDatabase:
             if self._note_seq.get(entry[1]) == entry[0]
         ]
         self._journal_stale = 0
-
-    def _changed_from(self, start: int) -> tuple[list[Document], list[DeletionStub]]:
-        """Live docs/stubs for the journal suffix beginning at ``start``."""
-        docs: list[Document] = []
-        stubs: list[DeletionStub] = []
-        suffix = self._journal[start:]
-        self.last_scan_cost = len(suffix)
-        for seq, unid, is_stub, _ in suffix:
-            if self._note_seq.get(unid) != seq:
-                continue  # superseded by a later write to the same note
-            if is_stub:
-                stub = self._stubs.get(unid)
-                if stub is not None:
-                    stubs.append(stub)
-            else:
-                doc = self._docs.get(unid)
-                if doc is not None:
-                    docs.append(doc)
-        return docs, stubs
 
     # -- purge log ----------------------------------------------------------
 
@@ -434,13 +411,11 @@ class NotesDatabase:
         doc.set_all(items)
         doc.item_times = {name: (now, tick) for name in items}
         self._docs[doc.unid] = doc
-        self._local_modified[doc.unid] = now
         self._by_note_id[doc.note_id] = doc.unid
         self._index_parent(doc)
         self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(doc.unid, False, now)
-        self._persist_doc(doc, entry)
+        self._persist_doc(doc, self._journal_record(doc.unid, False))
         self._notify(ChangeKind.CREATE, doc, None)
         return doc
 
@@ -467,13 +442,11 @@ class NotesDatabase:
             doc.item_times[name] = stamp
         for name in remove_items or []:
             doc.item_times[name] = stamp
-        self._local_modified[unid] = stamp[0]
         if self._profile_key(doc) != old_profile_key:
             self._unindex_profile(old)
             self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(unid, False, stamp[0])
-        self._persist_doc(doc, entry)
+        self._persist_doc(doc, self._journal_record(unid, False))
         self._notify(ChangeKind.UPDATE, doc, old)
         return doc
 
@@ -500,10 +473,8 @@ class NotesDatabase:
         stamp = self.clock.timestamp()
         doc.bump_revision(stamp, author)
         doc.item_times[ATTACHMENT_PREFIX + filename] = stamp
-        self._local_modified[unid] = stamp[0]
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(unid, False, stamp[0])
-        self._persist_doc(doc, entry)
+        self._persist_doc(doc, self._journal_record(unid, False))
         self._notify(ChangeKind.UPDATE, doc, old)
         return doc
 
@@ -521,9 +492,7 @@ class NotesDatabase:
         )
         self._remove_doc_internal(unid)
         self._stubs[unid] = stub
-        self._stub_local[unid] = now
-        entry = self._journal_record(unid, True, now)
-        self._persist_stub(stub, entry)
+        self._persist_stub(stub, self._journal_record(unid, True))
         self._notify(ChangeKind.DELETE, stub, doc)
         return stub
 
@@ -698,31 +667,13 @@ class NotesDatabase:
         return self._purge_stub_unids(victims)
 
     def _purge_stub_unids(self, victims: list[str]) -> int:
-        """Drop ``victims`` from the stub table, journal and engine.
-
-        The engine write is one transaction covering the purge-log update
-        and every record removal, so recovery never sees a purged seq
-        record with an un-advanced purge log.
-        """
+        """Drop ``victims`` from the stub table, journal and engine."""
         if not victims:
             return 0
         for unid in victims:
             del self._stubs[unid]
-            self._stub_local.pop(unid, None)
-            if self._note_seq.pop(unid, None) is not None:
-                self._journal_stale += 1
-            self._log_purge(unid)
-        if self.engine is not None:
-            txn = self.engine.begin()
-            self.engine.put(txn, _META_KEY, self._meta_payload())
-            for unid in victims:
-                for key in (
-                    _SEQ_PREFIX + unid.encode(),
-                    _STUB_PREFIX + unid.encode(),
-                ):
-                    if key in self.engine:
-                        self.engine.delete(txn, key)
-            self.engine.commit(txn)
+            self._journal_drop(unid)
+        self._persist_purge(_STUB_PREFIX, victims)
         return len(victims)
 
     def cutoff_delete(self, older_than: float) -> int:
@@ -738,17 +689,16 @@ class NotesDatabase:
         them out for good.
         """
         victims = [
-            doc.unid
-            for doc in self._docs.values()
-            if doc.modified < older_than
+            doc for doc in self._docs.values() if doc.modified < older_than
         ]
-        for unid in victims:
-            doc = self._docs[unid]
-            self._remove_doc_internal(unid)
-            self._log_purge(unid)
+        if not victims:
+            return 0
+        for doc in victims:
+            self._remove_doc_internal(doc.unid)
+            self._journal_drop(doc.unid)
+        self._persist_purge(_DOC_PREFIX, [doc.unid for doc in victims])
+        for doc in victims:
             self._notify(ChangeKind.DELETE, self._as_trash_stub(doc, "cutoff"), doc)
-        if victims:
-            self._persist_meta()
         return len(victims)
 
     def state_fingerprint(self) -> str:
@@ -779,7 +729,6 @@ class NotesDatabase:
     def clear_replication_history(self) -> None:
         """Forget all replication history: the next pass with every partner
         re-examines everything (the admin "Clear History" button)."""
-        self.replication_history.clear()
         self.replication_seq.clear()
 
     # -- replication-facing primitives ----------------------------------
@@ -793,8 +742,14 @@ class NotesDatabase:
         walk over O(changes) entries — never a scan of the database. This
         is what an incremental replication pass costs.
         """
-        start = bisect_right(self._journal, after_seq, key=lambda entry: entry[0])
-        return self._changed_from(start)
+        docs: list[Document] = []
+        stubs: list[DeletionStub] = []
+        for _, note in self.journal_entries_since(after_seq):
+            if isinstance(note, DeletionStub):
+                stubs.append(note)
+            else:
+                docs.append(note)
+        return docs, stubs
 
     def journal_entries_since(
         self, after_seq: int
@@ -811,7 +766,7 @@ class NotesDatabase:
         suffix = self._journal[start:]
         self.last_scan_cost = len(suffix)
         entries: list[tuple[int, Document | DeletionStub]] = []
-        for seq, unid, is_stub, _ in suffix:
+        for seq, unid, is_stub in suffix:
             if self._note_seq.get(unid) != seq:
                 continue  # superseded by a later write to the same note
             note = self._stubs.get(unid) if is_stub else self._docs.get(unid)
@@ -819,37 +774,21 @@ class NotesDatabase:
                 entries.append((seq, note))
         return entries
 
-    def changed_since(self, cutoff: float) -> tuple[list[Document], list[DeletionStub]]:
-        """Documents/stubs changed *in this replica* at/after ``cutoff``.
-
-        Uses the local "modified in this file" times: a note installed here
-        by the replicator counts as changed *now*, even though its own
-        modified time is older — that is what makes multi-hop (hub) routing
-        of updates work.
-
-        Journal entries are appended in clock order, so the timestamp
-        cutoff (kept for pre-journal replication histories) is also a
-        suffix read, not a scan.
-        """
-        start = bisect_left(self._journal, cutoff, key=lambda entry: entry[3])
-        return self._changed_from(start)
-
     def changed_since_scan(
-        self, cutoff: float
+        self, after_seq: int
     ) -> tuple[list[Document], list[DeletionStub]]:
-        """The pre-journal O(database) scan, kept as the ablation baseline
-        benchmark E13 measures the journal against."""
-        self.last_scan_cost = len(self._docs) + len(self._stubs)
-        docs = [
-            doc
-            for doc in self._docs.values()
-            if self._local_modified.get(doc.unid, doc.modified) >= cutoff
-        ]
-        stubs = [
-            stub
-            for stub in self._stubs.values()
-            if self._stub_local.get(stub.unid, stub.deleted_at) >= cutoff
-        ]
+        """Same candidates as :meth:`changed_since_seq`, found by visiting
+        every live note's seq — the O(database) ablation baseline benchmark
+        E13 measures the journal against."""
+        self.last_scan_cost = len(self._note_seq)
+        docs: list[Document] = []
+        stubs: list[DeletionStub] = []
+        for unid, seq in self._note_seq.items():
+            if seq > after_seq:
+                if unid in self._docs:
+                    docs.append(self._docs[unid])
+                else:
+                    stubs.append(self._stubs[unid])
         return docs, stubs
 
     def raw_put(self, doc: Document, kind: ChangeKind = ChangeKind.REPLACE) -> None:
@@ -871,16 +810,11 @@ class NotesDatabase:
             self._next_note_id += 1
         self._docs[doc.unid] = doc
         self._by_note_id[doc.note_id] = doc.unid
-        now = self.clock.now
-        self._local_modified[doc.unid] = now
         self._stubs.pop(doc.unid, None)
-        self._stub_local.pop(doc.unid, None)
-        self._unpersist(_STUB_PREFIX + doc.unid.encode())
         self._index_parent(doc)
         self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(doc.unid, False, now)
-        self._persist_doc(doc, entry)
+        self._persist_doc(doc, self._journal_record(doc.unid, False))
         self._notify(kind, doc, old)
 
     def raw_delete(self, stub: DeletionStub) -> None:
@@ -891,10 +825,7 @@ class NotesDatabase:
         existing = self._stubs.get(stub.unid)
         if existing is None or tuple(stub.seq_time) > tuple(existing.seq_time):
             self._stubs[stub.unid] = stub
-            now = self.clock.now
-            self._stub_local[stub.unid] = now
-            entry = self._journal_record(stub.unid, True, now)
-            self._persist_stub(stub, entry)
+            self._persist_stub(stub, self._journal_record(stub.unid, True))
         if old is not None:
             self._notify(ChangeKind.DELETE, stub, old)
 
@@ -913,39 +844,42 @@ class NotesDatabase:
 
     # -- persistence ------------------------------------------------------
 
-    def _persist_doc(self, doc: Document, journal: _JournalEntry | None = None) -> None:
-        if self.engine is None:
-            return
-        payload = json.dumps(doc.to_dict()).encode()
-        self._persist_note(_DOC_PREFIX + doc.unid.encode(), payload, journal)
+    def _persist_doc(self, doc: Document, seq: int | None = None) -> None:
+        """Write ``doc``'s record under ``seq`` (default: its live journal
+        seq, which rewrites a note mutated in place) and drop any stub
+        record for it, in one transaction."""
+        if self.engine is not None:
+            if seq is None:
+                seq = self._note_seq[doc.unid]
+            self._persist_note(_DOC_PREFIX, _STUB_PREFIX, doc.to_dict(), seq)
 
-    def _persist_stub(self, stub: DeletionStub, journal: _JournalEntry | None = None) -> None:
-        if self.engine is None:
-            return
-        payload = json.dumps(stub.to_dict()).encode()
-        self._persist_note(_STUB_PREFIX + stub.unid.encode(), payload, journal)
+    def _persist_stub(self, stub: DeletionStub, seq: int) -> None:
+        """Write ``stub``'s record under ``seq`` and drop the document
+        record it replaces, in one transaction."""
+        if self.engine is not None:
+            self._persist_note(_STUB_PREFIX, _DOC_PREFIX, stub.to_dict(), seq)
 
     def _persist_note(
-        self, key: bytes, payload: bytes, journal: _JournalEntry | None
+        self, prefix: bytes, replaces: bytes, payload: dict, seq: int
     ) -> None:
-        """One transaction covering the note and its journal record, so a
-        crash can never durably separate a note from its sequence number."""
+        unid = payload["unid"].encode()
+        payload[_SEQ_FIELD] = seq
         txn = self.engine.begin()
-        self.engine.put(txn, key, payload)
-        if journal is not None:
-            seq, unid, is_stub, when = journal
-            self.engine.put(
-                txn,
-                _SEQ_PREFIX + unid.encode(),
-                json.dumps([seq, 1 if is_stub else 0, when]).encode(),
-            )
+        if replaces + unid in self.engine:
+            self.engine.delete(txn, replaces + unid)
+        self.engine.put(txn, prefix + unid, json.dumps(payload).encode())
         self.engine.commit(txn)
 
-    def _unpersist(self, key: bytes) -> None:
+    def _persist_purge(self, prefix: bytes, unids: list[str]) -> None:
+        """Remove purged notes' records and write the advanced purge log
+        in one transaction, so recovery never sees one without the other."""
         if self.engine is None:
             return
-        if key in self.engine:
-            self.engine.remove(key)
+        txn = self.engine.begin()
+        for unid in unids:
+            self.engine.delete(txn, prefix + unid.encode())
+        self.engine.put(txn, _META_KEY, self._meta_payload())
+        self.engine.commit(txn)
 
     def _meta_payload(self) -> bytes:
         return json.dumps(
@@ -960,112 +894,49 @@ class NotesDatabase:
             }
         ).encode()
 
-    def _persist_meta(self) -> None:
-        """Write the journal identity + purge log through the engine."""
-        if self.engine is None:
-            return
-        self.engine.set(_META_KEY, self._meta_payload())
-
     def _load_from_engine(self) -> None:
-        # Iterate only the note-record prefixes: the engine also holds
-        # derived-structure sidecars (view indexes, full-text checkpoint
-        # blobs) that are not ours to parse — and not all of them are JSON.
-        max_note_id = 0
-        seq_records: dict[str, list] = {}
-        meta: dict | None = None
-        for key in self.engine.keys(prefix=_DOC_PREFIX):
-            doc = Document.from_dict(json.loads(self.engine.get(key).decode()))
-            doc.note_id = self._next_note_id + max_note_id
-            max_note_id += 1
-            self._docs[doc.unid] = doc
-            self._by_note_id[doc.note_id] = doc.unid
-        for key in self.engine.keys(prefix=_STUB_PREFIX):
-            stub = DeletionStub.from_dict(
-                json.loads(self.engine.get(key).decode())
-            )
-            self._stubs[stub.unid] = stub
-        for key in self.engine.keys(prefix=_SEQ_PREFIX):
-            seq_records[key[len(_SEQ_PREFIX):].decode()] = json.loads(
-                self.engine.get(key).decode()
-            )
+        """Load every note record and rebuild the journal from their seqs.
+
+        Iterates only the note-record prefixes: the engine also holds
+        derived-structure sidecars (view indexes, full-text checkpoint
+        blobs) that are not ours to parse — and not all of them are JSON.
+        Sequence numbers keep their meaning across restarts, so partners'
+        seq cursors and consumers' seq checkpoints stay valid.
+        """
+        entries: list[_JournalEntry] = []
+        for prefix, is_stub in ((_DOC_PREFIX, False), (_STUB_PREFIX, True)):
+            for key in self.engine.keys(prefix=prefix):
+                payload = json.loads(self.engine.get(key).decode())
+                seq = payload.pop(_SEQ_FIELD, None)
+                if not isinstance(seq, int):
+                    raise DatabaseError(
+                        f"note record {key.decode()!r} in {self.title!r} "
+                        "carries no journal seq"
+                    )
+                if is_stub:
+                    note = DeletionStub.from_dict(payload)
+                    self._stubs[note.unid] = note
+                else:
+                    note = Document.from_dict(payload)
+                    note.note_id = self._next_note_id
+                    self._next_note_id += 1
+                    self._docs[note.unid] = note
+                    self._by_note_id[note.note_id] = note.unid
+                    self._index_parent(note)
+                    self._index_profile(note)
+                entries.append((seq, note.unid, is_stub))
+        entries.sort()
+        self._journal = entries
+        self._note_seq = {unid: seq for seq, unid, _ in entries}
+        self._update_seq = entries[-1][0] if entries else 0
+        self._fp_acc = int(self._fingerprint_recompute(), 16)
         raw_meta = self.engine.get(_META_KEY)
         if raw_meta is not None:
             meta = json.loads(raw_meta.decode())
-        self._next_note_id += max_note_id
-        for doc in self._docs.values():
-            self._index_parent(doc)
-            self._index_profile(doc)
-        self._fp_acc = int(self._fingerprint_recompute(), 16)
-        self._recover_journal(seq_records, meta)
-
-    def _recover_journal(
-        self, seq_records: dict[str, list], meta: dict | None = None
-    ) -> None:
-        """Rebuild the by-seq journal after an engine load.
-
-        When every live note carries a persisted sequence record the
-        journal is restored exactly (sequence numbers keep their meaning
-        across restarts, so partners' seq-based histories and consumers'
-        seq checkpoints stay valid) and the persisted journal identity +
-        purge log are restored with it. A pre-journal database file falls
-        back to seeding fresh sequence numbers in modified-time order
-        under a *new* journal identity; partners then re-examine via the
-        timestamp history and checkpoint holders rebuild, exactly as
-        before the journal existed.
-        """
-        live_kinds = {unid: False for unid in self._docs}
-        live_kinds.update({unid: True for unid in self._stubs})
-        recovered = all(
-            unid in seq_records and bool(seq_records[unid][1]) == is_stub
-            for unid, is_stub in live_kinds.items()
-        )
-        if recovered:
-            if live_kinds:
-                entries = sorted(
-                    (seq_records[unid][0], unid, is_stub, seq_records[unid][2])
-                    for unid, is_stub in live_kinds.items()
-                )
-                self._journal = entries
-                self._note_seq = {entry[1]: entry[0] for entry in entries}
-                self._update_seq = entries[-1][0]
-                for seq, unid, is_stub, when in entries:
-                    if is_stub:
-                        self._stub_local[unid] = when
-                    else:
-                        self._local_modified[unid] = when
-            if meta is not None:
-                self.journal_id = meta["journal_id"]
-                self._update_seq = max(
-                    self._update_seq, int(meta.get("update_seq", 0))
-                )
-                self._purge_seq = int(meta.get("purge_seq", 0))
-                self._purges = [
-                    (int(seq), unid) for seq, unid in meta.get("purges", [])
-                ]
-            return
-        # Fallback: order by the notes' own times (the pre-journal
-        # incremental-scan keys) and assign fresh sequence numbers. The
-        # reseeded journal gets a fresh identity — derived, not random, so
-        # repeated recoveries of the same file are deterministic.
-        if meta is not None:
-            self.journal_id = hashlib.sha256(
-                f"{meta['journal_id']}:reseed".encode()
-            ).hexdigest()[:16]
-        pending = sorted(
-            [(doc.modified, unid, False) for unid, doc in self._docs.items()]
-            + [
-                (stub.deleted_at, unid, True)
-                for unid, stub in self._stubs.items()
-            ]
-        )
-        for when, unid, is_stub in pending:
-            entry = self._journal_record(unid, is_stub, when)
-            if self.engine is not None:
-                seq, _, _, _ = entry
-                self.engine.set(
-                    _SEQ_PREFIX + unid.encode(),
-                    json.dumps([seq, 1 if is_stub else 0, when]).encode(),
-                )
+            self.journal_id = meta["journal_id"]
+            self._update_seq = max(self._update_seq, int(meta["update_seq"]))
+            self._purge_seq = int(meta["purge_seq"])
+            self._purges = [(int(seq), unid) for seq, unid in meta["purges"]]
 
     # -- access control hooks -----------------------------------------------
 
@@ -1102,12 +973,9 @@ class NotesDatabase:
         doc = self._docs.pop(unid)
         self._by_note_id.pop(doc.note_id, None)
         self._trash_discard(unid)
-        self._local_modified.pop(unid, None)
         self._fp_acc ^= self._doc_contrib(doc)
         self._unindex_parent(doc)
         self._unindex_profile(doc)
-        self._journal_drop(unid)
-        self._unpersist(_DOC_PREFIX + unid.encode())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -344,9 +344,9 @@ class FullTextIndex:
         Parses only the meta record and the per-segment offset
         directories — postings blobs stay bytes until a term is touched.
         Returns False (caller rebuilds) when no checkpoint exists, the
-        journal identity changed (pre-journal file or reseed), the purge
-        log no longer reaches back to the checkpoint, or the manifest
-        names a segment the engine does not hold.
+        checkpoint was cut from another journal, the purge log no longer
+        reaches back to the checkpoint, or the manifest names a segment
+        the engine does not hold.
         """
         import json
 

@@ -2,15 +2,18 @@
 
 One *pass* pulls changes from a source replica into a target replica:
 
-1. Read the target's replication history entry for the source; only notes
-   changed at/after that cutoff are candidates (the incremental scan).
+1. Read the target's replication history entry for the source: the
+   source's update seq as of the last pass (0 when there is none). Only
+   notes whose local seq in the source is above it are candidates, read
+   from the source's update-sequence journal in seq order.
 2. For each candidate document, compare originator ids and ``$Revisions``
    ancestry against the target's copy: install plain updates, skip already
    known revisions, and hand genuine divergence to the conflict policy.
 3. Deletion stubs propagate the same way; a stub beats a document revision
    it supersedes, while a document edited *after* (more revisions than) the
    deletion survives it.
-4. On success, record the pass in the replication history.
+4. On success, record the source's seq in both ends' replication history
+   (the target's resume cursor, the source's stub-purge acknowledgement).
 
 ``full_copy`` implements the naive baseline (ship everything every time) and
 ``versioning="timestamp"`` the clock-skew-vulnerable ablation; experiment E1
@@ -27,10 +30,6 @@ from repro.core.document import Document
 from repro.replication.conflicts import ConflictPolicy, detect, resolve
 from repro.replication.network import SimulatedNetwork
 from repro.replication.selective import SelectiveReplication
-
-# Safety slack subtracted from the history cutoff so boundary-time changes
-# are re-examined rather than missed (re-examining is idempotent).
-CUTOFF_SLACK = 1e-9
 
 
 @dataclass
@@ -109,13 +108,11 @@ class Replicator:
         replication optimisation. Semantically identical; only the wire
         accounting and the reconstruction path differ.
     journal:
-        When True (default), passes read the source's update-sequence
-        journal: the history records the partner's last-seen sequence and
-        a pass walks only the journal suffix — O(changes). A history with
-        no sequence entry (pre-journal, or after ``clear_replication_
-        history``) falls back to the timestamp cutoff. When False, every
-        pass uses the pre-journal O(database) scan — the ablation baseline
-        benchmark E13 measures against.
+        When True (default), a pass walks only the source's journal suffix
+        above the link's seq cursor — O(changes). When False, it finds the
+        same candidates by visiting every note's seq — the O(database)
+        ablation baseline benchmark E13 measures against. Both record the
+        same seq cursor, so the two hand off on one link.
     batch_size:
         Journal entries applied per resumable batch. After each full
         batch the per-link seq cursor is checkpointed on both ends, so an
@@ -177,47 +174,22 @@ class Replicator:
             self.network.begin_attempt(source.server, target.server)
         # Capture the source's sequence BEFORE applying anything: observers
         # of the target (cluster push-back, agents) may write into the
-        # source mid-pass, and those writes must be re-examined next time
-        # — the seq-domain analogue of CUTOFF_SLACK.
+        # source mid-pass, and those writes must be re-examined next time.
         source_seq = source.update_seq
-        seq_cutoff = (
-            target.replication_seq.get((source.server, "receive"))
-            if self.journal
-            else None
-        )
-        if seq_cutoff is None and self.journal and (
-            (source.server, "receive") not in target.replication_history
-        ):
-            # A link with no history at all (first exchange, or after a
-            # history clear) is journal-driven from seq 0, so even the
-            # initial bulk pull batches and checkpoints. Only a history
-            # written by the pre-journal scan replicator (a timestamp
-            # with no seq) still takes the timestamp fallback below.
-            seq_cutoff = 0
-        if seq_cutoff is not None:
-            self._pull_journal(target, source, seq_cutoff, selective, stats)
+        # A link with no history (first exchange, or after a history
+        # clear) starts from seq 0, so even the initial bulk pull batches
+        # and checkpoints.
+        after = target.replication_seq.get((source.server, "receive"), 0)
+        if self.journal:
+            self._pull_journal(target, source, after, selective, stats)
         else:
-            cutoff = (
-                target.replication_history.get((source.server, "receive"), 0.0)
-                - CUTOFF_SLACK
-            )
-            if self.journal:
-                docs, stubs = source.changed_since(cutoff)
-            else:
-                docs, stubs = source.changed_since_scan(cutoff)
+            docs, stubs = source.changed_since_scan(after)
             stats.docs_scanned += source.last_scan_cost
             for doc in sorted(docs, key=lambda d: (d.modified, d.unid)):
                 self._consider_document(target, source, doc, selective, stats)
             for stub in sorted(stubs, key=lambda s: (s.deleted_at, s.unid)):
                 self._consider_stub(target, stub, stats)
-        # The cutoff is compared against the SOURCE's local modification
-        # times on the next pass, so it must be recorded in the source's
-        # clock domain — replicas may have skewed clocks.
-        now = source.clock.now
-        target.replication_history[(source.server, "receive")] = now
-        source.replication_history[(target.server, "send")] = now
-        if self.journal:
-            self._record_cursor(source, target, source_seq)
+        self._record_cursor(source, target, source_seq)
         return stats
 
     def _pull_journal(
@@ -319,9 +291,7 @@ class Replicator:
             self._install(target, doc, stats)
         for stub in source.stubs.values():
             self._consider_stub(target, stub, stats)
-        target.replication_history[(source.server, "receive")] = source.clock.now
-        if self.journal:
-            target.replication_seq[(source.server, "receive")] = source_seq
+        target.replication_seq[(source.server, "receive")] = source_seq
         return stats
 
     # -- document path ------------------------------------------------------

@@ -142,18 +142,14 @@ class StorageEngine:
         """Buffer a write of ``key`` in ``txn`` (visible to ``txn`` only)."""
         self._require_active(txn)
         if self._wal is not None:
-            before = self._read_committed(key) or b""
-            self._wal.append(
-                LogRecord(RecordType.PUT, txn.txn_id, key, before, value)
-            )
+            self._wal.append(LogRecord(RecordType.PUT, txn.txn_id, key, value))
         txn.writes[key] = value
 
     def delete(self, txn: Transaction, key: bytes) -> None:
         """Buffer a delete of ``key`` in ``txn``."""
         self._require_active(txn)
         if self._wal is not None:
-            before = self._read_committed(key) or b""
-            self._wal.append(LogRecord(RecordType.DELETE, txn.txn_id, key, before))
+            self._wal.append(LogRecord(RecordType.DELETE, txn.txn_id, key))
         txn.writes[key] = None
 
     def commit(self, txn: Transaction) -> None:

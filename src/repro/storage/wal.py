@@ -1,11 +1,14 @@
 """Write-ahead log: durable, CRC-guarded, replayable operation records.
 
-The engine logs logical operations (PUT/DELETE with before- and after-images)
-plus transaction control records. The LSN of a record is its byte offset in
-the log file, so LSNs are totally ordered and "flush up to LSN" is a plain
-file flush. A torn final record (partial write at crash) is detected by the
-length/CRC envelope and ignored on replay, exactly like the tail-scan in
-ARIES-style recovery.
+The engine logs logical redo records (a PUT carries the key and its
+after-image, a DELETE just the key) plus transaction control records.
+There are no before-images: the engine never steals (uncommitted writes
+never reach the heap), so recovery only redoes and nothing is undone.
+The LSN of a record is its byte offset in the log file, so LSNs are
+totally ordered and "flush up to LSN" is a plain file flush. A torn
+final record (partial write at crash) is detected by the length/CRC
+envelope and ignored on replay, exactly like the tail-scan in ARIES-style
+recovery.
 """
 
 from __future__ import annotations
@@ -39,15 +42,13 @@ class RecordType(IntEnum):
 class LogRecord:
     """One logical log record.
 
-    ``before``/``after`` are value images: ``before`` enables undo-style
-    ablations and debugging, ``after`` drives redo. Control records carry
-    empty keys and images.
+    ``after`` is the value a PUT installs (its redo image). DELETE and
+    control records carry an empty image; control records an empty key.
     """
 
     type: RecordType
     txn_id: int
     key: bytes = b""
-    before: bytes = b""
     after: bytes = b""
 
     def encode(self) -> bytes:
@@ -55,8 +56,6 @@ class LogRecord:
             _FIXED.pack(int(self.type), self.txn_id),
             _LEN.pack(len(self.key)),
             self.key,
-            _LEN.pack(len(self.before)),
-            self.before,
             _LEN.pack(len(self.after)),
             self.after,
         ]
@@ -67,13 +66,13 @@ class LogRecord:
         rtype, txn_id = _FIXED.unpack_from(payload, 0)
         pos = _FIXED.size
         fields = []
-        for _ in range(3):
+        for _ in range(2):
             (length,) = _LEN.unpack_from(payload, pos)
             pos += _LEN.size
             fields.append(payload[pos : pos + length])
             pos += length
-        key, before, after = fields
-        return cls(RecordType(rtype), txn_id, key, before, after)
+        key, after = fields
+        return cls(RecordType(rtype), txn_id, key, after)
 
 
 class WriteAheadLog:

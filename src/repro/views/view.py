@@ -401,8 +401,9 @@ class View:
         stale snapshot cut under the *same journal identity* loads and
         replays only the notes sequenced past its checkpoint — the
         incremental top-up E14 measures. Returns False (caller rebuilds)
-        only for a changed design, a pre-journal snapshot, a reseeded
-        journal, or a purge log that no longer reaches back far enough.
+        only for a changed design, a pre-journal snapshot, another
+        journal's snapshot, or a purge log that no longer reaches back
+        far enough.
         """
         import json
 
@@ -419,7 +420,7 @@ class View:
             if not self.journal:
                 return False
             if snapshot.get("journal_id") != self.db.journal_id:
-                return False  # pre-journal snapshot or reseeded journal
+                return False  # pre-journal snapshot or another journal's
             if snapshot["indexed_seq"] > self.db.update_seq:
                 return False  # checkpoint from a future this journal lost
             if self.db.purges_since(snapshot["indexed_purge_seq"]) is None:
@@ -581,8 +582,8 @@ class View:
         checkpoint save also folded sidecar segments — the amortized
         compaction bill coming due), or ``"rebuild"`` (the O(n log n)
         fallback, taken only with ``journal=False``, after a journal
-        reseed, or when the purge log no longer reaches back to the
-        checkpoint).
+        identity change, or when the purge log no longer reaches back to
+        the checkpoint).
 
         ``rebuilds`` increments only on the rebuild path; top-ups count
         in ``catch_up.topups`` whether or not the save folded.

@@ -1,11 +1,11 @@
 """Tests for the update-sequence journal and its change-feed semantics.
 
-The journal turns ``changed_since`` from a full-database scan into a
-suffix read of a by-seq log (CouchDB ``_changes`` style). These tests pin
-the semantics the replicator relies on: seq cutoffs and timestamp cutoffs
-agree, multi-hop hub routing still counts an installed note as changed
-*now*, ``clear_replication_history`` forces a full re-examination, and the
-journal survives a storage-engine reopen.
+The journal turns "what changed since seq N" from a full-database scan
+into a suffix read of a by-seq log (CouchDB ``_changes`` style). These
+tests pin the semantics the replicator relies on: the journal read and the
+O(database) scan agree, multi-hop hub routing still counts an installed
+note as changed *now*, ``clear_replication_history`` forces a full
+re-examination, and the journal survives a storage-engine reopen.
 """
 
 import random
@@ -75,7 +75,6 @@ class TestJournalBasics:
             db.create({"N": index})
             clock.advance(0.2)
         mark_seq = db.update_seq
-        mark_time = clock.now
         clock.advance(1)
         for unid in rng.sample(db.unids(), 8):
             db.update(unid, {"S": "new"})
@@ -88,9 +87,10 @@ class TestJournalBasics:
             return ({d.unid for d in docs}, {s.unid for s in stubs})
 
         via_seq = key(db.changed_since_seq(mark_seq))
-        via_time = key(db.changed_since(mark_time))
-        via_scan = key(db.changed_since_scan(mark_time))
-        assert via_seq == via_time == via_scan
+        via_scan = key(db.changed_since_scan(mark_seq))
+        assert via_seq == via_scan
+        assert len(via_seq[0]) >= 5 and len(via_seq[1]) == 3
+        assert key(db.changed_since_scan(0)) == key(db.changed_since_seq(0))
 
     def test_compaction_preserves_the_feed(self, db, clock):
         doc = db.create({"S": "hot"})
@@ -117,7 +117,7 @@ class TestJournalBasics:
             db.update(unid, {"S": "touched"})
         db.changed_since_seq(mark)
         assert db.last_scan_cost <= 10
-        db.changed_since_scan(0.0)
+        db.changed_since_scan(mark)
         assert db.last_scan_cost >= 2000
 
 
@@ -166,21 +166,29 @@ class TestReplicationSeqHistory:
         assert stats.docs_transferred == 0  # ...but nothing re-shipped
 
     def test_timestamp_history_fallback_interop(self, pair, clock):
-        """A history written by the pre-journal (scan) replicator still
-        yields a correct incremental pass when the journal path takes over,
-        and the pass upgrades the history to a seq cutoff."""
+        """The scan replicator and the journal replicator record the same
+        seq cursor, so either one's history yields a correct incremental
+        pass for the other on the same link."""
         a, b = pair
         old = a.create({"S": "old"})
         clock.advance(1)
         Replicator(journal=False).pull(b, a)
-        assert b.replication_seq == {}  # scan replicator records no seqs
+        assert b.replication_seq[(a.server, "receive")] == a.update_seq
         clock.advance(1)
         fresh = a.create({"S": "fresh"})
         clock.advance(1)
         stats = Replicator(journal=True).pull(b, a)
-        assert stats.docs_transferred == 1
+        assert stats.docs_transferred == stats.docs_examined == 1
+        assert stats.docs_scanned == 1
         assert fresh.unid in b and old.unid in b
         assert b.replication_seq[(a.server, "receive")] == a.update_seq
+        clock.advance(1)
+        late = a.create({"S": "late"})
+        clock.advance(1)
+        stats = Replicator(journal=False).pull(b, a)
+        assert stats.docs_transferred == stats.docs_examined == 1
+        assert stats.docs_scanned == 3  # the scan visits every note
+        assert late.unid in b
         clock.advance(1)
         assert Replicator(journal=True).pull(b, a).docs_examined == 0
 

@@ -1,10 +1,12 @@
 """Tests for NotesDatabase persistence over the storage engine."""
 
+import json
 import random
 
 import pytest
 
 from repro.core import NotesDatabase
+from repro.errors import DatabaseError
 from repro.sim import VirtualClock
 from repro.storage import StorageEngine
 
@@ -90,3 +92,31 @@ class TestPersistence:
         assert len(reloaded) == 100
         for unid, number in expected.items():
             assert reloaded.get(unid).get("N") == number
+
+
+class TestNoteRecordFormat:
+    def test_one_record_per_note_carrying_its_seq(self, store):
+        engine, db = store()
+        kept = db.create({"S": "kept"})
+        gone = db.create({"S": "gone"})
+        db.delete(gone.unid)
+        assert sorted(engine.keys()) == sorted(
+            [b"doc:" + kept.unid.encode(), b"stub:" + gone.unid.encode(),
+             b"meta:journal"]
+        )
+        record = json.loads(engine.get(b"stub:" + gone.unid.encode()))
+        assert record["journal_seq"] == db.update_seq
+
+    @pytest.mark.parametrize("prefix", [b"doc:", b"stub:"])
+    def test_record_without_journal_seq_is_a_typed_error(self, store, prefix):
+        engine, db = store()
+        doc = db.create({"S": "x"})
+        if prefix == b"stub:":
+            db.delete(doc.unid)
+        key = prefix + doc.unid.encode()
+        record = json.loads(engine.get(key))
+        del record["journal_seq"]
+        engine.set(key, json.dumps(record).encode())
+        engine.close()
+        with pytest.raises(DatabaseError, match=key.decode()):
+            store(seed=2)

@@ -15,7 +15,7 @@ def wal(tmp_path):
 
 class TestRecords:
     def test_encode_decode_roundtrip(self):
-        record = LogRecord(RecordType.PUT, 7, b"key", b"before", b"after")
+        record = LogRecord(RecordType.PUT, 7, b"key", b"after")
         assert LogRecord.decode(record.encode()) == record
 
     def test_control_records_roundtrip(self):
@@ -24,14 +24,14 @@ class TestRecords:
             assert LogRecord.decode(record.encode()) == record
 
     def test_binary_safe_payloads(self):
-        record = LogRecord(RecordType.PUT, 1, bytes(range(256)), b"\x00" * 10, b"\xff" * 10)
+        record = LogRecord(RecordType.PUT, 1, bytes(range(256)), b"\xff" * 10)
         assert LogRecord.decode(record.encode()) == record
 
 
 class TestAppendReplay:
     def test_lsn_is_monotonic(self, wal):
         lsns = [
-            wal.append(LogRecord(RecordType.PUT, 1, b"k", b"", b"v"))
+            wal.append(LogRecord(RecordType.PUT, 1, b"k", b"v"))
             for _ in range(5)
         ]
         assert lsns == sorted(lsns) and len(set(lsns)) == 5
@@ -39,8 +39,8 @@ class TestAppendReplay:
     def test_records_replay_in_order(self, wal):
         originals = [
             LogRecord(RecordType.BEGIN, 1),
-            LogRecord(RecordType.PUT, 1, b"a", b"", b"1"),
-            LogRecord(RecordType.PUT, 1, b"b", b"", b"2"),
+            LogRecord(RecordType.PUT, 1, b"a", b"1"),
+            LogRecord(RecordType.PUT, 1, b"b", b"2"),
             LogRecord(RecordType.COMMIT, 1),
         ]
         for record in originals:
@@ -51,7 +51,7 @@ class TestAppendReplay:
 
     def test_replay_from_lsn(self, wal):
         wal.append(LogRecord(RecordType.BEGIN, 1))
-        middle = wal.append(LogRecord(RecordType.PUT, 1, b"k", b"", b"v"))
+        middle = wal.append(LogRecord(RecordType.PUT, 1, b"k", b"v"))
         wal.append(LogRecord(RecordType.COMMIT, 1))
         wal.flush()
         replayed = list(wal.records(from_lsn=middle))
@@ -75,11 +75,11 @@ class TestAppendReplay:
     def test_persistence_across_reopen(self, tmp_path):
         path = str(tmp_path / "re.wal")
         log = WriteAheadLog(path)
-        log.append(LogRecord(RecordType.PUT, 3, b"x", b"", b"y"))
+        log.append(LogRecord(RecordType.PUT, 3, b"x", b"y"))
         log.close()
         reopened = WriteAheadLog(path)
         records = [record for _, record in reopened.records()]
-        assert records == [LogRecord(RecordType.PUT, 3, b"x", b"", b"y")]
+        assert records == [LogRecord(RecordType.PUT, 3, b"x", b"y")]
         reopened.close()
 
 
@@ -87,9 +87,9 @@ class TestCrashTail:
     def test_torn_tail_ignored(self, tmp_path):
         path = str(tmp_path / "torn.wal")
         log = WriteAheadLog(path)
-        log.append(LogRecord(RecordType.PUT, 1, b"good", b"", b"1"))
+        log.append(LogRecord(RecordType.PUT, 1, b"good", b"1"))
         log.flush()
-        log.append(LogRecord(RecordType.PUT, 1, b"half", b"", b"2"))
+        log.append(LogRecord(RecordType.PUT, 1, b"half", b"2"))
         log._file.flush()
         log._file.close()
         # chop the last record in half
@@ -105,8 +105,8 @@ class TestCrashTail:
     def test_corrupt_tail_treated_as_torn(self, tmp_path):
         path = str(tmp_path / "corrupt.wal")
         log = WriteAheadLog(path)
-        log.append(LogRecord(RecordType.PUT, 1, b"good", b"", b"1"))
-        last = log.append(LogRecord(RecordType.PUT, 1, b"bad", b"", b"2"))
+        log.append(LogRecord(RecordType.PUT, 1, b"good", b"1"))
+        last = log.append(LogRecord(RecordType.PUT, 1, b"bad", b"2"))
         log.close()
         with open(path, "r+b") as raw:
             raw.seek(last + 12)
@@ -119,8 +119,8 @@ class TestCrashTail:
     def test_corruption_before_tail_raises(self, tmp_path):
         path = str(tmp_path / "midcorrupt.wal")
         log = WriteAheadLog(path)
-        first = log.append(LogRecord(RecordType.PUT, 1, b"one", b"", b"1"))
-        log.append(LogRecord(RecordType.PUT, 1, b"two", b"", b"2"))
+        first = log.append(LogRecord(RecordType.PUT, 1, b"one", b"1"))
+        log.append(LogRecord(RecordType.PUT, 1, b"two", b"2"))
         log.close()
         with open(path, "r+b") as raw:
             raw.seek(first + 12)
@@ -133,9 +133,9 @@ class TestCrashTail:
     def test_abandon_discards_unflushed(self, tmp_path):
         path = str(tmp_path / "abandon.wal")
         log = WriteAheadLog(path)
-        log.append(LogRecord(RecordType.PUT, 1, b"durable", b"", b"1"))
+        log.append(LogRecord(RecordType.PUT, 1, b"durable", b"1"))
         log.flush()
-        log.append(LogRecord(RecordType.PUT, 1, b"volatile", b"", b"2"))
+        log.append(LogRecord(RecordType.PUT, 1, b"volatile", b"2"))
         log.abandon()
         survivor = WriteAheadLog(path)
         keys = [record.key for _, record in survivor.records()]
