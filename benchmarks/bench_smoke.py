@@ -58,9 +58,9 @@ def test_smoke_changefeed_examines_delta():
 
 def test_smoke_note_write_costs(tmp_path):
     """Storage cost counters: every note write path commits exactly one
-    engine transaction and leaves one engine record per live doc or stub
-    (plus the journal meta record), and an update of an N-byte note
-    appends its redo image once — under N + 256 WAL bytes."""
+    engine transaction and leaves one engine record per live or trashed
+    doc or stub (plus the journal meta record), and an update of an
+    N-byte note appends its redo image once — under N + 256 WAL bytes."""
     path = str(tmp_path / "costs")
     engine = StorageEngine(path)
     db = NotesDatabase("costs.nsf", clock=VirtualClock(),
@@ -79,7 +79,7 @@ def test_smoke_note_write_costs(tmp_path):
         db.clock.advance(1)
         result = apply()
         assert len(commits) == before + 1
-        assert len(engine) == len(db) + len(db.stubs) + 1
+        assert len(engine) == len(db) + len(db.stubs) + len(db.trash) + 1
         return result
 
     docs = [write(lambda: db.create({"Body": "x" * 4000})) for _ in range(6)]
@@ -99,6 +99,8 @@ def test_smoke_note_write_costs(tmp_path):
     write(lambda: db.delete(docs[4].unid))
     write(lambda: db.purge_stubs(older_than=db.clock.now + 1))
     write(lambda: db.cutoff_delete(older_than=1.5))
+    write(lambda: db.soft_delete(docs[5].unid))
+    write(lambda: db.restore(docs[5].unid))
 
     wal_before = os.path.getsize(path + ".wal")
     write(lambda: db.update(docs[5].unid, {"Status": "edited"}))

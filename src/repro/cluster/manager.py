@@ -87,14 +87,10 @@ class Cluster:
             elif existing is not db:
                 replicas.append(existing)
         # Seed new replicas with current content through the replicator's
-        # catch-up path: a plain full push from the origin.
+        # push, from the start of the origin's journal.
         for replica in replicas:
-            if replica is db or len(replica) == len(db):
-                continue
-            for doc in db.all_documents():
-                replicator._push_one(db, replica, doc, None)
-            for stub in db.stubs.values():
-                replicator._push_one(db, replica, None, stub)
+            if replica is not db and len(replica) != len(db):
+                replicator.seed(db, replica)
         return replicas
 
     # -- load model ---------------------------------------------------------

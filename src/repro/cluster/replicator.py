@@ -6,14 +6,17 @@ replicator uses, so echoes and races resolve identically). Pushes to an
 unreachable member stall that link; ``catch_up`` is the cluster-join/
 restart path that drains stalled links.
 
-The backlog *is* the database's update-sequence journal: a stalled link
-keeps only the origin seq it last drained, and ``catch_up`` replays
-``changed_since_seq`` past that cursor — O(1) state per link however many
-changes pile up during the outage, with a drain bounded by the number of
-distinct changed notes. The only per-note bookkeeping left is a small
-side-table of *un-journaled* events (soft deletes, restores, cutoff
-purges — none of which write journal entries) so a drain reproduces them
-too.
+Every push — live, drained or seeding a new member — sends one note's
+*current* state on the origin: its document, its deletion stub, or its
+document in the trash, which the target mirrors into its own trash (a
+soft delete on one member is a soft delete on every member, and a restore
+brings it back everywhere). Because soft deletes and restores are journaled
+writes like any other, the backlog *is* the database's update-sequence
+journal: a stalled link keeps only the origin seq it last drained, and
+``catch_up`` replays ``journal_entries_since`` past that cursor — O(1)
+state per link however many changes pile up during the outage, with a
+drain bounded by the number of distinct changed notes. Cutoff trims drop
+notes without a journal entry and stay local to the member that trimmed.
 
 Successful pushes acknowledge the origin's ``update_seq`` into
 ``replication_seq[(target, "send")]`` — the same ledger scheduled
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.core.database import ChangeKind, DeletionStub, NotesDatabase
+from repro.core.database import DeletionStub, NotesDatabase
 from repro.core.document import Document
 from repro.errors import LinkFailure
 from repro.replication.conflicts import ConflictPolicy, detect, resolve
@@ -68,10 +71,6 @@ class ClusterReplicator:
         # A link appears here only while stalled; catch_up replays the
         # journal suffix past the cursor and removes it.
         self._stalled: dict[tuple[str, str], int] = {}
-        # Events the journal cannot replay (soft deletes, restores and
-        # cutoff purges never journal): (link) -> {unid: stub | None}.
-        # None means "push the current document" (a restore).
-        self._pending: dict[tuple[str, str], dict[str, DeletionStub | None]] = {}
         self._pushing = False
 
     # -- membership -----------------------------------------------------
@@ -95,123 +94,89 @@ class ClusterReplicator:
         db.subscribe(self._make_handler(db))
 
     def _make_handler(self, origin: NotesDatabase):
-        def handler(kind: ChangeKind, payload, old: Document | None) -> None:
+        def handler(kind, payload, old) -> None:
             if self._pushing:
                 return  # change caused by a cluster push: do not echo
-            if kind in (ChangeKind.CREATE, ChangeKind.UPDATE,
-                        ChangeKind.REPLACE):
-                self._push_all(origin, payload, None, journaled=True)
-            elif kind == ChangeKind.RESTORE:
-                self._push_all(origin, payload, None, journaled=False)
-            elif kind == ChangeKind.DELETE:
-                # delete() journals a stub; soft deletes and cutoff purges
-                # synthesize one that the journal never sees.
-                self._push_all(
-                    origin, None, payload,
-                    journaled=payload.unid in origin.stubs,
-                )
+            note = origin.note(payload.unid)
+            if note is not None:  # None: a cutoff trim, which stays local
+                self._push_all(origin, note)
 
         return handler
 
     # -- pushing ----------------------------------------------------------
 
     def _push_all(
-        self,
-        origin: NotesDatabase,
-        doc: Document | None,
-        stub: DeletionStub | None,
-        journaled: bool,
+        self, origin: NotesDatabase, note: Document | DeletionStub
     ) -> None:
         for member in self._members:
             if member is origin:
                 continue
             link = (origin.server, member.server)
-            if not self.network.is_reachable(*link):
-                # Stall the link at the seq *before* this change (the
-                # notify runs after the journal append, so update_seq is
-                # this change's seq). Un-journaled events leave the
-                # cursor at the current seq and ride the pending table.
-                self._stalled.setdefault(
-                    link,
-                    origin.update_seq - 1 if journaled else origin.update_seq,
-                )
-                if not journaled:
-                    unid = doc.unid if doc is not None else stub.unid
-                    self._pending.setdefault(link, {})[unid] = stub
-                self.stats.queued += 1
-                continue
-            if not journaled:
-                # A restore supersedes a pending soft-delete stub queued
-                # on this link (and vice versa — latest event wins).
-                unid = doc.unid if doc is not None else stub.unid
-                pending = self._pending.get(link)
-                if pending is not None:
-                    pending.pop(unid, None)
-            try:
-                self.network.begin_attempt(*link)
-                self._push_one(origin, member, doc, stub)
-            except LinkFailure:
-                # The push died on the wire (drop/flap/abort): stall the
-                # link exactly as if the member had been unreachable.
-                self.stats.interrupted += 1
-                self._stalled.setdefault(
-                    link,
-                    origin.update_seq - 1 if journaled else origin.update_seq,
-                )
-                if not journaled:
-                    unid = doc.unid if doc is not None else stub.unid
-                    self._pending.setdefault(link, {})[unid] = stub
-                self.stats.queued += 1
-                continue
-            if link not in self._stalled:
-                self._ack(origin, member)
+            if self.network.is_reachable(*link):
+                try:
+                    self.network.begin_attempt(*link)
+                    self._push(origin, member, note)
+                except LinkFailure:
+                    # The push died on the wire (drop/flap/abort): stall
+                    # the link as if the member had been unreachable.
+                    self.stats.interrupted += 1
+                else:
+                    if link not in self._stalled:
+                        self._ack(origin, member)
+                    continue
+            # Stall the link at the seq *before* this change (the notify
+            # runs after the journal append, so update_seq is this
+            # change's seq).
+            self._stalled.setdefault(link, origin.update_seq - 1)
+            self.stats.queued += 1
 
     def _ack(self, origin: NotesDatabase, target: NotesDatabase) -> None:
         """Record that ``target`` holds everything up to origin's seq."""
         origin.replication_seq[(target.server, "send")] = origin.update_seq
 
-    def _push_one(
+    def _push(
         self,
         origin: NotesDatabase,
         target: NotesDatabase,
-        doc: Document | None,
-        stub: DeletionStub | None,
+        note: Document | DeletionStub,
     ) -> None:
+        """Bring ``target``'s copy of one note to ``note``, the origin's
+        current state: a stub deletes an older revision; a document
+        revision installs over an older one or resolves a conflict; then
+        the target's trash follows the origin's."""
         self._pushing = True
         try:
-            if stub is not None:
-                local = target.try_get(stub.unid)
-                if local is None or (stub.seq, tuple(stub.seq_time)) > (
-                    local.seq,
-                    tuple(local.seq_time),
-                ):
-                    latency = self.network.transfer(
-                        origin.server, target.server, _STUB_WIRE_SIZE
-                    )
-                    target.raw_delete(stub)
-                    self._account(latency, _STUB_WIRE_SIZE)
+            local = target.note(note.unid)
+            if isinstance(note, DeletionStub):
+                if not isinstance(local, Document) or (
+                    note.seq, tuple(note.seq_time)
+                ) > (local.seq, tuple(local.seq_time)):
+                    self._transfer(origin, target, _STUB_WIRE_SIZE)
+                    target.raw_delete(note)
                 return
-            assert doc is not None
-            local = target.try_get(doc.unid)
-            if local is None:
-                latency = self.network.transfer(
-                    origin.server, target.server, doc.size()
-                )
-                target.raw_put(doc.copy())
-                self._account(latency, doc.size())
-                return
-            relation = detect(local, doc)
-            if relation in ("same", "local_newer"):
-                return
-            latency = self.network.transfer(origin.server, target.server, doc.size())
-            if relation == "incoming_newer":
-                target.raw_put(doc.copy())
-            else:
-                resolve(target, local, doc.copy(), self.conflict_policy)
+            relation = (
+                detect(local, note) if isinstance(local, Document) else "new"
+            )
+            if relation in ("new", "incoming_newer"):
+                self._transfer(origin, target, note.size())
+                target.raw_put(note.copy())
+            elif relation == "conflict":
+                self._transfer(origin, target, note.size())
+                resolve(target, local, note.copy(), self.conflict_policy)
                 self.stats.conflicts += 1
-            self._account(latency, doc.size())
+            trashed = note.unid not in origin
+            if (note.unid in target) == trashed:
+                self._transfer(origin, target, _STUB_WIRE_SIZE)
+                target.raw_trash(note.unid, trashed)
         finally:
             self._pushing = False
+
+    def _transfer(
+        self, origin: NotesDatabase, target: NotesDatabase, nbytes: int
+    ) -> None:
+        self._account(
+            self.network.transfer(origin.server, target.server, nbytes), nbytes
+        )
 
     def _account(self, latency: float, nbytes: int) -> None:
         self.stats.pushes += 1
@@ -225,9 +190,9 @@ class ClusterReplicator:
 
         Per link this is one ``journal_entries_since(cursor)`` call — a
         binary search plus a walk over the notes actually changed during
-        the outage — followed by the (rare) un-journaled pending events.
-        The *current* revision is pushed, so repeated edits to one note
-        during the outage cost a single transfer.
+        the outage. The *current* state of each note is pushed, so
+        repeated edits to one note during the outage cost a single
+        transfer.
 
         Drains are *resumable*: the link's seq cursor advances after
         every pushed entry, so a drain killed mid-flight by a link fault
@@ -248,28 +213,9 @@ class ClusterReplicator:
             try:
                 self.network.begin_attempt(*link)
                 for seq, note in source.journal_entries_since(cursor):
-                    if isinstance(note, DeletionStub):
-                        self._push_one(source, target, None, note)
-                    else:
-                        self._push_one(source, target, note, None)
+                    self._push(source, target, note)
                     self._stalled[link] = seq  # the drain's resume point
                     drained += 1
-                # Un-journaled events last: a soft delete during the
-                # outage must override the revision it shadows.
-                pending = self._pending.get(link, {})
-                for unid in list(pending):
-                    stub = pending[unid]
-                    if stub is not None:
-                        self._push_one(
-                            source, target, None, source.stubs.get(unid, stub)
-                        )
-                    else:
-                        live = source.try_get(unid)
-                        if live is not None:
-                            self._push_one(source, target, live, None)
-                    del pending[unid]
-                    drained += 1
-                self._pending.pop(link, None)
                 del self._stalled[link]
                 self._ack(source, target)
             except LinkFailure:
@@ -281,6 +227,12 @@ class ClusterReplicator:
         self.stats.catch_up_seconds += perf_counter() - started
         return drained
 
+    def seed(self, origin: NotesDatabase, target: NotesDatabase) -> None:
+        """Copy every note ``origin`` holds onto a new member ``target``:
+        the same push as a drain, from the start of the journal."""
+        for _, note in origin.journal_entries_since(0):
+            self._push(origin, target, note)
+
     def _member_on(self, server: str) -> NotesDatabase | None:
         for member in self._members:
             if member.server == server:
@@ -289,19 +241,12 @@ class ClusterReplicator:
 
     @property
     def backlog_size(self) -> int:
-        """Distinct notes awaiting drain across all stalled links.
-
-        Computed from the journal (the suffix past each link's cursor)
-        plus the pending un-journaled events — the replicator itself no
-        longer stores per-note backlog state.
-        """
+        """Distinct notes awaiting drain across all stalled links,
+        computed from the journal suffix past each link's cursor — the
+        replicator itself stores no per-note backlog state."""
         total = 0
         for link, cursor in self._stalled.items():
             source = self._member_on(link[0])
-            if source is None:
-                continue
-            docs, stubs = source.changed_since_seq(cursor)
-            total += len(docs) + len(stubs)
-        for pending in self._pending.values():
-            total += len(pending)
+            if source is not None:
+                total += len(source.journal_entries_since(cursor))
         return total

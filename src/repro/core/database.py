@@ -9,7 +9,9 @@ Responsibilities:
   configurable interval (experiment E2 shows why purging too early is
   dangerous).
 * Soft deletion (the R5 "trash folder" behaviour): documents can be moved
-  to trash and restored before a hard delete.
+  to trash and restored before a hard delete. Both are ordinary journaled
+  writes of the document's record with a trash flag, so the trash is
+  durable and every journal consumer sees it move.
 * Change events: views, full-text indexes and cluster replicators subscribe
   to create/update/delete notifications for incremental maintenance.
 * The **update-sequence journal**: every write is assigned the next local
@@ -17,7 +19,8 @@ Responsibilities:
   UNID, the CouchDB ``_changes`` design). It is the database's only change
   clock: replication, views, full-text and agents read the journal suffix
   above a checkpointed seq instead of scanning the database, so a pass
-  costs O(changes) rather than O(database).
+  costs O(changes) rather than O(database). Only purges and cutoff trims
+  drop notes without a journal entry; they go to the purge log.
 * Maintained secondary indexes: parent→children (``responses``),
   profile-document lookup (``profile``), and an incrementally maintained
   state fingerprint.
@@ -96,6 +99,8 @@ _STUB_PREFIX = b"stub:"
 _META_KEY = b"meta:journal"
 # The field of a persisted doc/stub record that holds its journal seq.
 _SEQ_FIELD = "journal_seq"
+# Present (true) in the record of a document that sits in the trash.
+_TRASH_FIELD = "trashed"
 
 # Journal entries are (seq, unid, is_stub) tuples, appended in seq order,
 # so a seq cutoff is a binary search for the suffix start.
@@ -502,8 +507,7 @@ class NotesDatabase:
         """Move a document to the trash; views stop showing it."""
         doc = self._require_doc(unid)
         self._check_delete(author, doc)
-        self._trash_add(unid)
-        self._notify(ChangeKind.DELETE, self._as_trash_stub(doc, author), doc)
+        self.raw_trash(unid, True)
 
     def restore(self, unid: str, author: str = "anonymous") -> Document:
         """Bring a soft-deleted document back from the trash."""
@@ -511,9 +515,25 @@ class NotesDatabase:
             raise DatabaseError(f"{unid} is not in the trash")
         doc = self._docs[unid]
         self._check_update(author, doc)
-        self._trash_discard(unid)
-        self._notify(ChangeKind.RESTORE, doc, None)
+        self.raw_trash(unid, False)
         return doc
+
+    def raw_trash(self, unid: str, trashed: bool) -> None:
+        """Move the document ``unid`` into (``trashed``) or out of the trash.
+
+        The write both :meth:`soft_delete` and :meth:`restore` make after
+        their access check, and the cluster replicator's to mirror a mate's
+        trash: the revision stays as it is, the note takes the next seq and
+        its record is rewritten with the trash flag.
+        """
+        doc = self._docs[unid]
+        if trashed:
+            self._trash_add(unid)
+        else:
+            self._trash_discard(unid)
+        self._persist_doc(doc, self._journal_record(unid, False))
+        self._notify(ChangeKind.DELETE if trashed else ChangeKind.RESTORE, doc,
+                     doc if trashed else None)
 
     def empty_trash(self, author: str = "anonymous") -> int:
         """Hard-delete everything in the trash; returns the count."""
@@ -526,10 +546,6 @@ class NotesDatabase:
     @property
     def trash(self) -> list[str]:
         return sorted(self._trash)
-
-    def _as_trash_stub(self, doc: Document, author: str) -> DeletionStub:
-        now, tick = self.clock.timestamp()
-        return DeletionStub(doc.unid, doc.seq, (now, tick), now, author)
 
     # -- reads -----------------------------------------------------------
 
@@ -551,6 +567,13 @@ class NotesDatabase:
         if unid in self._trash:
             return None
         return self._docs.get(unid)
+
+    def note(self, unid: str) -> Document | DeletionStub | None:
+        """Whatever the database holds for ``unid``: the document (live or
+        in the trash), its deletion stub, or None (never seen, purged or
+        trimmed). A document is in the trash when ``unid not in db``."""
+        doc = self._docs.get(unid)
+        return doc if doc is not None else self._stubs.get(unid)
 
     def __contains__(self, unid: str) -> bool:
         return unid in self._docs and unid not in self._trash
@@ -698,7 +721,7 @@ class NotesDatabase:
             self._journal_drop(doc.unid)
         self._persist_purge(_DOC_PREFIX, [doc.unid for doc in victims])
         for doc in victims:
-            self._notify(ChangeKind.DELETE, self._as_trash_stub(doc, "cutoff"), doc)
+            self._notify(ChangeKind.DELETE, doc, doc)
         return len(victims)
 
     def state_fingerprint(self) -> str:
@@ -844,14 +867,14 @@ class NotesDatabase:
 
     # -- persistence ------------------------------------------------------
 
-    def _persist_doc(self, doc: Document, seq: int | None = None) -> None:
-        """Write ``doc``'s record under ``seq`` (default: its live journal
-        seq, which rewrites a note mutated in place) and drop any stub
-        record for it, in one transaction."""
+    def _persist_doc(self, doc: Document, seq: int) -> None:
+        """Write ``doc``'s record under ``seq``, flagged when it is in the
+        trash, and drop any stub record for it, in one transaction."""
         if self.engine is not None:
-            if seq is None:
-                seq = self._note_seq[doc.unid]
-            self._persist_note(_DOC_PREFIX, _STUB_PREFIX, doc.to_dict(), seq)
+            payload = doc.to_dict()
+            if doc.unid in self._trash:
+                payload[_TRASH_FIELD] = True
+            self._persist_note(_DOC_PREFIX, _STUB_PREFIX, payload, seq)
 
     def _persist_stub(self, stub: DeletionStub, seq: int) -> None:
         """Write ``stub``'s record under ``seq`` and drop the document
@@ -917,7 +940,10 @@ class NotesDatabase:
                     note = DeletionStub.from_dict(payload)
                     self._stubs[note.unid] = note
                 else:
+                    trashed = payload.pop(_TRASH_FIELD, False)
                     note = Document.from_dict(payload)
+                    if trashed:
+                        self._trash.add(note.unid)
                     note.note_id = self._next_note_id
                     self._next_note_id += 1
                     self._docs[note.unid] = note

@@ -1,11 +1,14 @@
 """Shared instrumentation for journal-driven catch-up consumers.
 
-Every derived structure that rides the update-seq journal — views, the
-full-text index, the cluster backlog — answers the same three questions
-after a restart or a deferred batch: did it top up incrementally or fall
-back to a rebuild, how many notes did it replay, and how long did the
-catch-up take?  ``CatchUpStats`` gives them one shape for those answers
-so benchmarks and operators read every consumer the same way.
+Every derived structure that catches up through
+:class:`repro.core.consumer.JournalConsumer` — views and the full-text
+index — answers the same three questions after a restart or a deferred
+batch: did it top up incrementally or fall back to a rebuild, how many
+notes did it replay, and how long did the catch-up take?
+``CatchUpStats`` gives them one shape for those answers so benchmarks and
+operators read every consumer the same way. (The cluster replicator
+drains the same journal but reports through its own
+``ClusterReplicationStats``.)
 
 ``LinkHealth`` plays the same unifying role for everything that talks
 over an unreliable link — the replication scheduler's edges and the mail
@@ -26,10 +29,11 @@ class CatchUpStats:
     ``rebuilds``
         Full from-scratch rebuilds (O(database) scans).
     ``topups``
-        Incremental catch-ups replayed from ``changed_since_seq``
-        (O(log n + changes)).
+        Incremental catch-ups replayed from the journal suffix past the
+        checkpoint (O(log n + changes)).
     ``notes_replayed``
-        Notes (documents + deletion stubs) examined across all top-ups.
+        Journal entries (documents, trash moves, deletion stubs) replayed
+        across all top-ups.
     ``purges_replayed``
         Purge-log entries applied across all top-ups.
     ``catch_up_seconds``

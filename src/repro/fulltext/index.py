@@ -31,15 +31,15 @@ the query. Phrases verify adjacent positions inside one field.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.errors import FullTextError
-from repro.core.database import ChangeKind, NotesDatabase
+from repro.core.consumer import JournalConsumer
+from repro.core.database import NotesDatabase
 from repro.core.document import Document
 from repro.core.items import ItemType
-from repro.core.stats import CatchUpStats
 from repro.fulltext.query import And, Not, Or, Phrase, Term, parse_query
 from repro.fulltext.tokenizer import stem, tokenize
 from repro.storage.segments import MergePolicy, SegmentStack, SegmentStats
@@ -61,7 +61,7 @@ class SearchHit:
     score: float
 
 
-class FullTextIndex:
+class FullTextIndex(JournalConsumer):
     """An incrementally-maintained inverted index over one database."""
 
     #: Default per-field score multipliers: a hit in the Subject counts
@@ -83,10 +83,7 @@ class FullTextIndex:
             raise FullTextError(
                 "persist=True needs a database with a storage engine"
             )
-        self.db = db
-        self.mode = mode
-        self.persist = persist
-        self.journal = journal
+        super().__init__(db, mode, persist, journal)
         self.merge_policy = merge_policy or MergePolicy()
         self.field_weights = (
             dict(self.DEFAULT_FIELD_WEIGHTS)
@@ -110,51 +107,24 @@ class FullTextIndex:
         # writes that touch the term.
         self._merged_cache: dict[str, dict[str, dict[str, list[int]]]] = {}
         self._doc_count = 0
-        self.rebuilds = 0
-        self.incremental_ops = 0
-        self.loaded_from_disk = False
-        self.catch_up = CatchUpStats()
         # Stats objects outlive stack reconstructions (rebuilds, reloads)
         # so the counters accumulate across the index's whole life.
         self._terms_stats = SegmentStats()
         self._docs_stats = SegmentStats()
         self.catch_up.segment_stats["terms"] = self._terms_stats
         self.catch_up.segment_stats["docs"] = self._docs_stats
-        # Journal checkpoint the postings reflect (see views/view.py for
-        # the same scheme; trash rides along because soft deletes and
-        # restores never journal).
-        self._indexed_seq = -1
-        self._indexed_purge_seq = 0
-        self._indexed_journal_id = ""
-        self._indexed_trash: set[str] = set()
-        if mode == "auto":
-            db.subscribe(self._on_change)
-        if persist:
-            db.register_checkpointer(self.save_checkpoint)
-        if not (persist and self._try_load_checkpoint()):
-            self.rebuild()
+        self._open()
 
     # -- maintenance --------------------------------------------------------
 
-    def close(self) -> None:
-        if self.persist:
-            self.save_checkpoint()
-            self.db.unregister_checkpointer(self.save_checkpoint)
-        if self.mode == "auto":
-            self.db.unsubscribe(self._on_change)
-
-    def rebuild(self) -> int:
+    def _rebuild_index(self) -> int:
         """Re-index every live document; returns the document count."""
-        started = perf_counter()
         self._postings.clear()
         self._doc_terms.clear()
         self._drop_base()
         self._doc_count = 0
         for doc in self.db.all_documents():
             self._add(doc)
-        self.rebuilds += 1
-        self._mark_indexed()
-        self.catch_up.record_rebuild(perf_counter() - started)
         return self._doc_count
 
     def _drop_base(self) -> None:
@@ -164,72 +134,6 @@ class FullTextIndex:
         self._docs_stack = None
         self._dead.clear()
         self._merged_cache.clear()
-
-    def refresh(self) -> str:
-        """Manual-mode catch-up; reports which path ran.
-
-        ``"noop"`` when already current, ``"topup"`` when the journal
-        covers the gap (re-tokenizes only notes sequenced past the
-        checkpoint), ``"rebuild"`` otherwise — the E8 baseline and the
-        only path when ``journal=False``.
-        """
-        if self.mode != "manual" or (
-            self.journal and self._indexed_seq == self.db.update_seq
-            and self._indexed_purge_seq == self.db.purge_seq
-            and self._indexed_journal_id == self.db.journal_id
-            and self._indexed_trash == self.db._trash
-        ):
-            self.catch_up.record_noop()
-            return "noop"
-        if not self._catch_up_from_journal():
-            self.rebuild()
-        return self.catch_up.last_path
-
-    def _mark_indexed(self) -> None:
-        db = self.db
-        self._indexed_seq = db.update_seq
-        self._indexed_purge_seq = db.purge_seq
-        self._indexed_journal_id = db.journal_id
-        self._indexed_trash = set(db._trash)
-
-    def _catch_up_from_journal(self) -> bool:
-        """Re-tokenize only notes past the checkpoint; False -> rebuild."""
-        db = self.db
-        if not self.journal or self._indexed_journal_id != db.journal_id:
-            return False
-        if self._indexed_seq > db.update_seq:
-            return False
-        purges = db.purges_since(self._indexed_purge_seq)
-        if purges is None:
-            return False
-        started = perf_counter()
-        replayed = 0
-        for _, unid in purges:
-            self._remove(unid)
-        docs, stubs = db.changed_since_seq(self._indexed_seq)
-        for doc in docs:
-            live = db.try_get(doc.unid)  # None when trashed meanwhile
-            self._remove(doc.unid)
-            if live is not None:
-                self._add(live)
-            replayed += 1
-        for stub in stubs:
-            self._remove(stub.unid)
-            replayed += 1
-        current_trash = set(db._trash)
-        for unid in current_trash - self._indexed_trash:
-            self._remove(unid)
-            replayed += 1
-        for unid in self._indexed_trash - current_trash:
-            doc = db.try_get(unid)
-            if doc is not None and not self._has_doc(unid):
-                self._add(doc)
-            replayed += 1
-        self._mark_indexed()
-        self.catch_up.record_topup(
-            replayed, len(purges), perf_counter() - started
-        )
-        return True
 
     # -- checkpoint persistence -------------------------------------------
 
@@ -277,14 +181,9 @@ class FullTextIndex:
         is readable or the previous one still is. Cost is O(overlay) —
         the delta since the last save — plus whatever the policy folds.
         """
-        import json
-
         if self.db.engine is None:
             raise FullTextError("database has no storage engine")
-        if self.mode == "auto":
-            # Auto mode tracks every change, so the postings are current
-            # as of now; a stale manual index keeps its true checkpoint.
-            self._mark_indexed()
+        checkpoint = self._checkpoint_fields()
         engine = self.db.engine
         txn = engine.begin()
         if self._terms_stack is None:
@@ -327,10 +226,7 @@ class FullTextIndex:
             self._doc_terms = {}
             self._dead = set()
         meta = json.dumps({
-            "journal_id": self._indexed_journal_id,
-            "indexed_seq": self._indexed_seq,
-            "indexed_purge_seq": self._indexed_purge_seq,
-            "trash": sorted(self._indexed_trash),
+            **checkpoint,
             "terms": self._terms_stack.manifest(),
             "docs": self._docs_stack.manifest(),
         }).encode()
@@ -338,29 +234,16 @@ class FullTextIndex:
         engine.commit(txn)
         self.catch_up.record_merge(len(folds))
 
-    def _try_load_checkpoint(self) -> bool:
-        """Adopt the persisted segments and top up past the checkpoint.
+    _save = save_checkpoint
 
-        Parses only the meta record and the per-segment offset
-        directories — postings blobs stay bytes until a term is touched.
-        Returns False (caller rebuilds) when no checkpoint exists, the
-        checkpoint was cut from another journal, the purge log no longer
-        reaches back to the checkpoint, or the manifest names a segment
-        the engine does not hold.
-        """
-        import json
+    def _read_meta(self) -> dict | None:
+        raw_meta = self.db.engine.get(_META_KEY)
+        return None if raw_meta is None else json.loads(raw_meta.decode())
 
-        engine = self.db.engine
-        raw_meta = engine.get(_META_KEY)
-        if raw_meta is None or not self.journal:
-            return False
-        meta = json.loads(raw_meta.decode())
-        if meta.get("journal_id") != self.db.journal_id:
-            return False
-        if meta["indexed_seq"] > self.db.update_seq:
-            return False
-        if self.db.purges_since(meta["indexed_purge_seq"]) is None:
-            return False
+    def _load_segments(self, meta: dict) -> bool:
+        """Adopt the persisted segments: parses only the per-segment
+        offset directories — postings blobs stay bytes until a term is
+        touched."""
         self._make_stacks()
         if not self._docs_stack.load(meta.get("docs", {})) or (
             not self._terms_stack.load(meta.get("terms", {}))
@@ -368,13 +251,6 @@ class FullTextIndex:
             self._drop_base()
             return False
         self._doc_count = self._docs_stack.live_count()
-        self._indexed_seq = meta["indexed_seq"]
-        self._indexed_purge_seq = meta["indexed_purge_seq"]
-        self._indexed_journal_id = meta["journal_id"]
-        self._indexed_trash = set(meta.get("trash", ()))
-        if not self._catch_up_from_journal():  # pragma: no cover
-            return False  # validity pre-checked; cannot fail here
-        self.loaded_from_disk = True
         return True
 
     # -- segment stack access ----------------------------------------------
@@ -416,9 +292,6 @@ class FullTextIndex:
             and self._docs_stack.position_of(unid) is not None
         )
 
-    def _has_doc(self, unid: str) -> bool:
-        return unid in self._doc_terms or self._in_stack(unid)
-
     def _terms_of(self, unid: str) -> set[str]:
         terms = self._doc_terms.get(unid)
         if terms is not None:
@@ -449,15 +322,12 @@ class FullTextIndex:
         for entry in self._merged_cache.values():
             entry.pop(unid, None)
 
-    def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
-        self.incremental_ops += 1
-        if kind == ChangeKind.DELETE:
-            self._remove(payload.unid)
-        elif kind in (ChangeKind.CREATE, ChangeKind.RESTORE):
-            self._add(payload)
-        elif kind in (ChangeKind.UPDATE, ChangeKind.REPLACE):
-            self._remove(payload.unid)
-            self._add(payload)
+    def forget(self, unid: str) -> None:
+        self._remove(unid)
+
+    def reindex(self, doc: Document) -> None:
+        self._remove(doc.unid)
+        self._add(doc)
 
     def _add(self, doc: Document) -> None:
         if self._in_stack(doc.unid):

@@ -325,8 +325,10 @@ class Replicator:
             if self._stub_beats_doc(stub, doc):
                 stats.docs_skipped += 1
                 return
-        local = target.try_get(doc.unid)
-        if local is None:
+        # A copy in the target's trash still holds its revision: the same
+        # revision there means nothing to ship (the trash stays local).
+        local = target.note(doc.unid)
+        if not isinstance(local, Document):
             self._transfer(source, target, doc, stats)
             self._install(target, doc, stats, sink)
             return

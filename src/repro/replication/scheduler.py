@@ -37,8 +37,8 @@ def converged(databases: Iterable[NotesDatabase]) -> bool:
     revisions, so matching fingerprints and stubs decide convergence
     without building snapshots. Unequal fingerprints fall back to the
     full O(total docs) comparison, because the fingerprint also covers
-    the *trash* — which is local-only and may legitimately differ
-    between otherwise-converged replicas.
+    the *trash* — which scheduled replication does not carry, so it may
+    legitimately differ between otherwise-converged replicas.
     """
     snapshots = list(databases)
     if len(snapshots) < 2:

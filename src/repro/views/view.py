@@ -10,11 +10,12 @@ modes exist so experiment E5 can compare them:
     incrementally — O(log n) per changed document.
 ``manual``
     The view catches up on :meth:`refresh`. With the journal enabled
-    (the default) a stale view records the ``update_seq`` it last
-    indexed and tops up from ``changed_since_seq`` — O(log n + changes).
-    With ``journal=False`` (the ablation E5/E14 measure against) every
-    refresh is the O(n log n) "view rebuild" the paper calls out as the
-    thing incremental indexing avoids.
+    (the default) a stale view tops up from the journal suffix past its
+    seq checkpoint — O(log n + changes), see
+    :class:`repro.core.consumer.JournalConsumer`. With ``journal=False``
+    (the ablation E5/E14 measure against) every refresh is the
+    O(n log n) "view rebuild" the paper calls out as the thing
+    incremental indexing avoids.
 
 Alongside the tree the view keeps a *category directory*: per key prefix
 of the categorized columns, the entry count, the rows under the heading
@@ -25,17 +26,18 @@ rendering every row.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from time import perf_counter
 from typing import Any, Iterator
 
 from repro.errors import ViewError
-from repro.core.database import ChangeKind, NotesDatabase
+from repro.core.consumer import JournalConsumer
+from repro.core.database import NotesDatabase
 from repro.core.document import Document
-from repro.core.stats import CatchUpStats
 from repro.formula import compile_formula
 from repro.storage.btree import BPlusTree
 from repro.storage.segments import MergePolicy, SegmentStack, SegmentStats
@@ -126,7 +128,7 @@ class _Group:
         self.totals = {column: _Subtotal() for column in totals_columns}
 
 
-class View:
+class View(JournalConsumer):
     """A named, sorted projection of one database.
 
     Parameters
@@ -146,9 +148,9 @@ class View:
         Show response documents indented beneath their parents.
     persist:
         Store the view index in the database's storage engine (the NSF
-        kept view indexes too). On open, a saved index whose database
-        state fingerprint still matches is loaded instead of rebuilding;
-        a *stale* saved index is loaded and topped up from the update
+        kept view indexes too). On open, a saved index at the database's
+        current journal position is loaded instead of rebuilding; a
+        *stale* saved index is loaded and topped up from the update
         journal when possible. On disk the entries live in a
         :class:`repro.storage.SegmentStack` sidecar: each
         :meth:`save_index` appends only the entries dirtied since the
@@ -185,7 +187,7 @@ class View:
             raise ViewError(f"mode must be 'auto' or 'manual', got {mode!r}")
         if persist and db.engine is None:
             raise ViewError("persist=True needs a database with a storage engine")
-        self.db = db
+        super().__init__(db, mode, persist, journal)
         self.name = name
         self.selection_source = selection
         self.columns = columns or [ViewColumn(title="Subject", item="Subject")]
@@ -199,10 +201,7 @@ class View:
         # The category directory, keyed by key prefix: what window() needs
         # to find a row without walking the index. _count keeps it current.
         self._groups: dict[tuple, _Group] = {(): _Group(self._totals_columns)}
-        self.mode = mode
         self.hierarchical = hierarchical
-        self.persist = persist
-        self.journal = journal
         self.merge_policy = merge_policy or MergePolicy()
         self._selection = compile_formula(selection)
         self._tree: BPlusTree = BPlusTree(order=64)
@@ -217,27 +216,8 @@ class View:
         # Reverse of _children: child unid -> parent unid, so _remove can
         # discard its membership in O(1) instead of sweeping every set.
         self._parent_of: dict[str, str] = {}
-        self.rebuilds = 0
-        self.incremental_ops = 0
-        self.pending_changes = 0
-        self.loaded_from_disk = False
-        self.catch_up = CatchUpStats()
         self.catch_up.segment_stats["entries"] = self._segment_stats
-        # What the index currently reflects: the journal checkpoint a
-        # refresh or a saved-snapshot load tops up from. Soft deletes and
-        # restores don't journal, so the trash membership at index time
-        # rides along and is reconciled by set difference.
-        self._indexed_seq = -1
-        self._indexed_purge_seq = 0
-        self._indexed_journal_id = ""
-        self._indexed_state = ""
-        self._indexed_trash: set[str] = set()
-        if mode == "auto":
-            db.subscribe(self._on_change)
-        if persist:
-            db.register_checkpointer(self.save_index)
-        if not (persist and self._try_load_index()):
-            self.rebuild()
+        self._open()
 
     # -- column checks ----------------------------------------------------
 
@@ -260,21 +240,9 @@ class View:
     def _categorized_columns(self) -> list[ViewColumn]:
         return [c for c in self.columns if c.categorized]
 
-    # -- maintenance --------------------------------------------------------
-
-    def close(self) -> None:
-        """Detach from database events; save the index when persistent."""
-        if self.persist:
-            self.save_index()
-            self.db.unregister_checkpointer(self.save_index)
-        if self.mode == "auto":
-            self.db.unsubscribe(self._on_change)
-
     # -- index persistence -----------------------------------------------
 
     def _design_fingerprint(self) -> str:
-        import hashlib
-
         spec = repr((
             self.selection_source,
             self.hierarchical,
@@ -282,9 +250,6 @@ class View:
               c.totals) for c in self.columns],
         ))
         return hashlib.sha256(spec.encode()).hexdigest()
-
-    def _index_key(self) -> bytes:
-        return b"viewidx:" + self.name.encode()
 
     @staticmethod
     def _encode_key(key: tuple) -> list:
@@ -342,26 +307,19 @@ class View:
         previous checkpoint fully readable.
 
         The meta record carries the journal checkpoint the index
-        reflects (``journal_id`` + ``indexed_seq`` + ``indexed_purge_seq``
-        + the trash membership at index time), so a later open against a
-        moved-on database tops up from ``changed_since_seq`` instead of
-        rebuilding.
+        reflects, so a later open against a moved-on database tops up from
+        the journal instead of rebuilding.
         """
-        import json
-
         if self.db.engine is None:
             raise ViewError("database has no storage engine")
-        if self.mode == "auto":
-            # An auto view is continuously current: stamp the checkpoint
-            # now. A manual view saves whatever it last indexed.
-            self._mark_indexed()
+        checkpoint = self._checkpoint_fields()
         engine = self.db.engine
         txn = engine.begin()
         fresh = self._stack is None
         if fresh:
             # A rebuild (or first save) rewrites the stack from scratch;
             # clear whatever segments a previous layout left behind.
-            raw = engine.get(self._index_key())
+            raw = engine.get(self._namespace())
             if raw is not None:
                 old_meta = json.loads(raw.decode())
                 SegmentStack.delete_manifest(
@@ -382,49 +340,28 @@ class View:
             folds = self._stack.maintain(txn)
         snapshot = {
             "design": self._design_fingerprint(),
-            "state": self._indexed_state,
-            "journal_id": self._indexed_journal_id,
-            "indexed_seq": self._indexed_seq,
-            "indexed_purge_seq": self._indexed_purge_seq,
-            "trash": sorted(self._indexed_trash),
+            **checkpoint,
             "index": self._stack.manifest(),
         }
-        engine.put(txn, self._index_key(), json.dumps(snapshot).encode())
+        engine.put(txn, self._namespace(), json.dumps(snapshot).encode())
         engine.commit(txn)
         self._dirty.clear()
         self.catch_up.record_merge(len(folds))
 
-    def _try_load_index(self) -> bool:
-        """Load a saved index; top up a stale one from the journal.
+    _save = save_index
 
-        A snapshot whose state fingerprint still matches loads as-is. A
-        stale snapshot cut under the *same journal identity* loads and
-        replays only the notes sequenced past its checkpoint — the
-        incremental top-up E14 measures. Returns False (caller rebuilds)
-        only for a changed design, a pre-journal snapshot, another
-        journal's snapshot, or a purge log that no longer reaches back
-        far enough.
-        """
-        import json
-
-        raw = self.db.engine.get(self._index_key())
+    def _read_meta(self) -> dict | None:
+        raw = self.db.engine.get(self._namespace())
         if raw is None:
-            return False
+            return None
         snapshot = json.loads(raw.decode())
         if snapshot.get("design") != self._design_fingerprint():
-            return False
+            return None
         if "index" not in snapshot:
-            return False  # pre-segment snapshot layout: rebuild once
-        current = snapshot.get("state") == self.db.state_fingerprint()
-        if not current:
-            if not self.journal:
-                return False
-            if snapshot.get("journal_id") != self.db.journal_id:
-                return False  # pre-journal snapshot or another journal's
-            if snapshot["indexed_seq"] > self.db.update_seq:
-                return False  # checkpoint from a future this journal lost
-            if self.db.purges_since(snapshot["indexed_purge_seq"]) is None:
-                return False
+            return None  # pre-segment snapshot layout: rebuild once
+        return snapshot
+
+    def _load_segments(self, snapshot: dict) -> bool:
         self._make_stack()
         if not self._stack.load(snapshot["index"]):
             self._stack = None
@@ -439,90 +376,13 @@ class View:
                 self._children.setdefault(parent, set()).add(unid)
                 self._parent_of[unid] = parent
         self._load(pairs)
-        if current:
-            self._mark_indexed()
-            self.catch_up.record_noop()
-        else:
-            self._indexed_seq = snapshot["indexed_seq"]
-            self._indexed_purge_seq = snapshot["indexed_purge_seq"]
-            self._indexed_journal_id = snapshot["journal_id"]
-            self._indexed_trash = set(snapshot.get("trash", ()))
-            if not self._catch_up_from_journal():  # pragma: no cover
-                # Validity was pre-checked above; top-up cannot fail here.
-                return False
-        self.loaded_from_disk = True
         return True
 
-    def _mark_indexed(self) -> None:
-        """Stamp the checkpoint: the index now reflects this exact state."""
-        db = self.db
-        self._indexed_seq = db.update_seq
-        self._indexed_purge_seq = db.purge_seq
-        self._indexed_journal_id = db.journal_id
-        self._indexed_state = db.state_fingerprint()
-        self._indexed_trash = set(db._trash)
-
-    def _catch_up_from_journal(self) -> bool:
-        """Replay journal entries past the checkpoint; False -> rebuild.
-
-        O(log n + changes): purge-log entries drop vanished notes,
-        ``changed_since_seq`` replays updated documents and deletion
-        stubs in seq order, and the trash-membership diff covers soft
-        deletes/restores (which never journal). Ends with the index
-        byte-for-byte what a rebuild would produce.
-        """
-        db = self.db
-        if not self.journal or self._indexed_journal_id != db.journal_id:
-            return False
-        if self._indexed_seq > db.update_seq:
-            return False
-        purges = db.purges_since(self._indexed_purge_seq)
-        if purges is None:
-            return False
-        started = perf_counter()
-        replayed = 0
-        for _, unid in purges:
-            self._remove(unid)
-            self._rekey_descendants(unid)
-        docs, stubs = db.changed_since_seq(self._indexed_seq)
-        for doc in docs:
-            live = db.try_get(doc.unid)  # None when trashed meanwhile
-            self._remove(doc.unid)
-            if live is not None and self._selected(live):
-                self._insert(live)
-            self._rekey_descendants(doc.unid)
-            replayed += 1
-        for stub in stubs:
-            self._remove(stub.unid)
-            self._rekey_descendants(stub.unid)
-            replayed += 1
-        current_trash = set(db._trash)
-        for unid in current_trash - self._indexed_trash:
-            self._remove(unid)
-            self._rekey_descendants(unid)
-            replayed += 1
-        for unid in self._indexed_trash - current_trash:
-            doc = db.try_get(unid)
-            if doc is not None and unid not in self._keys and self._selected(doc):
-                self._insert(doc)
-                self._rekey_descendants(unid)
-            replayed += 1
-        self._mark_indexed()
-        self.pending_changes = 0
-        self.catch_up.record_topup(
-            replayed, len(purges), perf_counter() - started
-        )
-        return True
-
-    def rebuild(self) -> int:
-        """Discard and rebuild the whole index; returns the entry count.
-
-        Keys are computed once per document (parents before children, so
-        hierarchical placement is correct regardless of creation order —
+    def _rebuild_index(self) -> int:
+        """Keys are computed once per document (parents before children,
+        so hierarchical placement is correct regardless of creation order —
         replication can deliver responses first), sorted, and bulk-loaded
-        into a fresh B+tree.
-        """
-        started = perf_counter()
+        into a fresh B+tree."""
         self._tree = BPlusTree(order=64)
         self._keys.clear()
         self._children.clear()
@@ -546,10 +406,6 @@ class View:
                 self._parent_of[doc.unid] = doc.parent_unid
             pairs.append((key, _Entry(doc.unid, values, level)))
         self._load(pairs)
-        self.rebuilds += 1
-        self.pending_changes = 0
-        self._mark_indexed()
-        self.catch_up.record_rebuild(perf_counter() - started)
         return len(self._tree)
 
     def _load(self, pairs: list[tuple[tuple, _Entry]]) -> None:
@@ -572,48 +428,15 @@ class View:
             current = parent
         return depth
 
-    def refresh(self) -> str:
-        """Bring a manual-mode view up to date; report which path ran.
+    def forget(self, unid: str) -> None:
+        self._remove(unid)
+        self._rekey_descendants(unid)
 
-        Returns ``"noop"`` (already current — ``auto`` views ride change
-        notifications, and an unchanged fingerprint short-circuits),
-        ``"topup"`` (journal replay of only the notes sequenced past the
-        checkpoint), ``"merge"`` (a top-up on a persistent view whose
-        checkpoint save also folded sidecar segments — the amortized
-        compaction bill coming due), or ``"rebuild"`` (the O(n log n)
-        fallback, taken only with ``journal=False``, after a journal
-        identity change, or when the purge log no longer reaches back to
-        the checkpoint).
-
-        ``rebuilds`` increments only on the rebuild path; top-ups count
-        in ``catch_up.topups`` whether or not the save folded.
-        """
-        if self.mode != "manual" or (
-            self.db.state_fingerprint() == self._indexed_state
-        ):
-            self.catch_up.record_noop()
-            return "noop"
-        if not self._catch_up_from_journal():
-            self.rebuild()
-        elif self.persist:
-            # Persist the topped-up checkpoint; if the merge policy folds
-            # segments here, record_merge promotes last_path to "merge".
-            self.save_index()
-        return self.catch_up.last_path
-
-    def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
-        self.incremental_ops += 1
-        if kind in (ChangeKind.CREATE, ChangeKind.UPDATE, ChangeKind.REPLACE,
-                    ChangeKind.RESTORE):
-            doc: Document = payload
-            self._remove(doc.unid)
-            if self._selected(doc):
-                self._insert(doc)
-            self._rekey_descendants(doc.unid)
-        elif kind == ChangeKind.DELETE:
-            unid = payload.unid
-            self._remove(unid)
-            self._rekey_descendants(unid)
+    def reindex(self, doc: Document) -> None:
+        self._remove(doc.unid)
+        if self._selected(doc):
+            self._insert(doc)
+        self._rekey_descendants(doc.unid)
 
     # -- selection ----------------------------------------------------------
 

@@ -88,7 +88,7 @@ class TestAttachmentReplication:
         a, b = pair
         doc = a.create({"Subject": "carrier"})
         attach(a.get(doc.unid), "payload.bin", PAYLOAD)
-        a._persist_doc(a.get(doc.unid))
+        a._persist_doc(a.get(doc.unid), a.update_seq)
         clock.advance(1)
         Replicator().replicate(a, b)
         assert detach(b.get(doc.unid), "payload.bin") == PAYLOAD

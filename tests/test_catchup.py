@@ -473,7 +473,7 @@ class TestClusterJournalReplay:
         doc = a.create({"S": "x"})
         network.partition("c1", "c2")
         clock.advance(1)
-        a.soft_delete(doc.unid)  # not journaled: pending-table path
+        a.soft_delete(doc.unid)  # journaled: drains like any write
         assert cluster.backlog_size >= 1
         network.partition("c1", "c2", partitioned=False)
         cluster.catch_up()

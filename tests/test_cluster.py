@@ -7,7 +7,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import NotesDatabase
 from repro.errors import ClusterError
-from repro.replication import ConflictPolicy, SimulatedNetwork, converged
+from repro.replication import (
+    ConflictPolicy, Replicator, SimulatedNetwork, converged,
+)
 from repro.sim import VirtualClock
 
 
@@ -111,6 +113,35 @@ class TestEventDrivenReplication:
             replicator.catch_up()
         assert converged([a, b, c])
         assert replicator.stats.conflicts >= 1
+
+
+class TestTrashAndTrims:
+    def test_soft_delete_lands_in_mates_trash(self, world):
+        """A soft delete is mirrored into every mate's trash, not turned
+        into a deletion stub, so a scheduled pass between mates cannot
+        carry a stub back over the trashed original."""
+        clock, _, _, (a, b, c) = world
+        doc = a.create({"S": "x"})
+        clock.advance(1)
+        a.soft_delete(doc.unid)
+        assert b.trash == [doc.unid] and c.trash == [doc.unid]
+        assert doc.unid not in b.stubs and doc.unid not in c.stubs
+        clock.advance(1)
+        Replicator().replicate(b, a)
+        a.restore(doc.unid)
+        assert b.get(doc.unid).get("S") == "x"
+        assert doc.unid in c
+        assert converged([a, b, c])
+
+    def test_cutoff_delete_stays_local(self, world):
+        clock, _, _, (a, b, c) = world
+        old = a.create({"S": "old"})
+        clock.advance(1000)
+        a.create({"S": "new"})
+        assert a.cutoff_delete(older_than=500.0) == 1
+        assert old.unid not in a
+        assert b.get(old.unid).get("S") == "old" and old.unid in c
+        assert old.unid not in b.stubs and old.unid not in c.stubs
 
 
 class TestFailover:

@@ -54,6 +54,20 @@ class TestPersistence:
         assert len(reloaded) == 0
         assert doc.unid in reloaded.stubs
 
+    def test_trash_survives_clean_close(self, store):
+        engine, db = store()
+        db.create({"S": "kept"})
+        trashed = db.create({"S": "trashed"})
+        db.soft_delete(trashed.unid)
+        before = db.state_fingerprint()
+        db.close()
+        _, reloaded = store(seed=2)
+        assert reloaded.trash == [trashed.unid]
+        assert trashed.unid not in reloaded
+        assert reloaded.state_fingerprint() == before
+        reloaded.restore(trashed.unid)
+        assert reloaded.get(trashed.unid).get("S") == "trashed"
+
     def test_crash_recovery_keeps_documents(self, store):
         engine, db = store()
         doc = db.create({"Subject": "pre-crash"})

@@ -445,7 +445,7 @@ class TestClusterResumableDrain:
         assert len(b) == 2
         deployment.network.partition("srv0", "srv1")
         a.update(doc.unid, {"S": "edited"})
-        a.soft_delete(victim.unid)  # un-journaled: rides the pending table
+        a.soft_delete(victim.unid)  # journaled: the drain's second entry
         deployment.network.partition("srv0", "srv1", partitioned=False)
         plan = deployment.network.install_faults(FaultPlan(
             1, deployment.clock,
@@ -471,9 +471,10 @@ class TestConvergedFastPath:
         deployment, source, target = faulty_pair
         rep = Replicator(network=deployment.network)
         rep.replicate(source, target)
-        # A soft delete replicates as a deletion; the trash entry itself
-        # is local-only, so fingerprints diverge while the replicas are
-        # still converged — the fast path must fall back, not misreport.
+        # A soft delete journals but ships nothing (the revision is
+        # unchanged); the trash entry is local-only, so fingerprints
+        # diverge while the replicas are still converged — the fast path
+        # must fall back, not misreport.
         source.soft_delete(source.unids()[0])
         rep.replicate(source, target)
         assert converged([source, target]) == (

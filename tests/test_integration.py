@@ -127,7 +127,7 @@ class TestDiscussionApplication:
         )
         hr.get(review.unid).set("SecretReaders", ["hr-admin/Acme"],
                                 ItemType.READERS)
-        hr._persist_doc(hr.get(review.unid))
+        hr._persist_doc(hr.get(review.unid), hr.update_seq)
         laptop = hr.new_replica("laptop")
         hr.clock.advance(1)
         Replicator().replicate(hr, laptop)

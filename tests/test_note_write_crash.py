@@ -22,7 +22,8 @@ from tests.test_segments_crash import CrashPoint, arm
 
 
 def build(path):
-    """Deterministic durable database: live docs, a stub, a partner ack."""
+    """Deterministic durable database: live docs, a stub, a document in
+    the trash, a partner ack."""
     engine = StorageEngine(path)
     db = NotesDatabase("writes.nsf", clock=VirtualClock(),
                        rng=random.Random(3), engine=engine)
@@ -33,6 +34,7 @@ def build(path):
     gone = db.unids()[1]
     revived = db.get(gone).copy()
     db.delete(gone)
+    db.soft_delete(db.unids()[-1])
     db.clock.advance(100)
     db.replication_seq[("partner", "send")] = db.update_seq
     engine.checkpoint()
@@ -65,6 +67,8 @@ WRITES = {
     "raw_put_new": lambda db, revived: db.raw_put(foreign_doc()),
     "raw_put_over_stub": lambda db, revived: db.raw_put(revived_doc(revived)),
     "raw_delete": lambda db, revived: db.raw_delete(remote_stub(db)),
+    "soft_delete": lambda db, revived: db.soft_delete(db.unids()[0]),
+    "restore": lambda db, revived: db.restore(db.trash[0]),
     "cutoff_delete": lambda db, revived: db.cutoff_delete(older_than=4.5),
     "purge_acknowledged_stubs": lambda db, revived: db.purge_acknowledged_stubs(),
     "purge_stubs": lambda db, revived: db.purge_stubs(older_than=1000.0),

@@ -104,6 +104,36 @@ class TestPull:
         assert incoming.note_id not in (0, b_local.note_id)
 
 
+class TestTrash:
+    def test_soft_delete_transfers_nothing(self, pair, clock, rep):
+        """A soft delete journals, so a pass examines the document, but
+        its revision is unchanged: the partner keeps its live copy."""
+        a, b = pair
+        doc = a.create({"S": "x"})
+        clock.advance(1)
+        rep.replicate(a, b)
+        a.soft_delete(doc.unid)
+        clock.advance(1)
+        assert rep.replicate(a, b).bytes_transferred == 0
+        assert doc.unid in b and a.trash == [doc.unid]
+
+    def test_document_trashed_on_both_sides_is_not_reshipped(
+        self, pair, clock, rep
+    ):
+        a, b = pair
+        doc = a.create({"S": "x"})
+        clock.advance(1)
+        rep.replicate(a, b)
+        a.soft_delete(doc.unid)
+        b.soft_delete(doc.unid)
+        a.clear_replication_history()
+        b.clear_replication_history()
+        for _ in range(2):
+            clock.advance(1)
+            assert rep.replicate(a, b).bytes_transferred == 0
+        assert a.trash == b.trash == [doc.unid]
+
+
 class TestFullCopyBaseline:
     def test_full_copy_ships_everything_every_time(self, pair, clock, rep):
         a, b = pair
